@@ -19,8 +19,8 @@ deterministic CLI (`bbepi`) binding it all together.
 """
 
 from .errors import (AnalysisError, BelowThreshold, DegenerateB,
-                     DimensionMismatch, MissingState, NegativeRate,
-                     NoBracket, NoConvergence, NonDiagonalAS,
+                     DimensionMismatch, IdentityViolation, MissingState,
+                     NegativeRate, NoBracket, NoConvergence, NonDiagonalAS,
                      NonPositiveState, NotApplicable, NotBalancedBilinear,
                      NotCaseP, NotEquilibrium, NotInvariantFace,
                      NotRankOne, NotRegularSplitting, ParseError,

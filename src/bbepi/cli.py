@@ -16,9 +16,10 @@ simulate  integrate one trajectory; writes trajectory.csv.
 Inputs are either a matrix-bundle JSON file (extension .model or .json) or
 a reaction text file (.rxn); --input-format overrides the extension guess.
 Exit codes: 0 success (and true verdicts), 1 certificate verdict false,
-2 validation/parse failure, 3 solver non-convergence or integration failure,
-4 certificate hypothesis violation. All outputs are deterministic for a
-fixed input and seed: floats are written via repr and no timestamps appear.
+2 validation/parse failure, 3 solver non-convergence, integration failure
+or a failed numerical identity, 4 certificate hypothesis violation. All
+outputs are deterministic for a fixed input and seed: floats are written
+via repr and no timestamps appear.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from . import crn, ngm, sim
 from . import equilibrium as eq
 from . import lyapunov as lyap
 from .errors import (AnalysisError, BelowThreshold, DegenerateB,
-                     NoBracket, NoConvergence, NotApplicable,
+                     IdentityViolation, NoBracket, NoConvergence, NotApplicable,
                      NotBalancedBilinear, NotRankOne, ParseError,
                      PositivityViolation, StepUnderflow, TooManySpecies)
 from .model import (BilinearModel, RankTag, classify_rank, load_model,
@@ -250,14 +251,20 @@ def cmd_lyapunov(args) -> int:
             args.i_species)
     except (ParseError, NotBalancedBilinear, AnalysisError, OSError) as exc:
         return _fail(EXIT_VALIDATION, str(exc))
+    validation = validate_model(model)
+    if not validation.passed:
+        return _fail(EXIT_VALIDATION,
+                     "validation failed: " +
+                     "; ".join(c.name for c in validation.failures()))
     config = lyap.SamplingConfig(
         n_trajectories=args.trajectories, horizon=args.horizon,
         step=args.step, seed=args.seed)
     try:
         cert = lyap.verify_decrease(model, args.kind, config)
-    except (NotApplicable, BelowThreshold) as exc:
+    except (NotApplicable, NotRankOne, BelowThreshold) as exc:
         return _fail(EXIT_HYPOTHESIS, f"certificate hypothesis violated: {exc}")
-    except (NoConvergence, NoBracket, PositivityViolation, StepUnderflow) as exc:
+    except (NoConvergence, NoBracket, PositivityViolation, StepUnderflow,
+            IdentityViolation) as exc:
         return _fail(EXIT_SOLVER, str(exc))
     _write(out_dir, "certificate.json", _json_text(cert.to_dict()))
     _write(out_dir, "certificate.csv", cert.trace_csv(0))
@@ -399,7 +406,10 @@ def cmd_siphons(args) -> int:
     lines.append(f"dfe closure: {_names(closure)}")
     lines += ["", "face Jacobian blocks:"]
     for s in minimal:
-        x_eq = _face_equilibrium(net, s.indices, args.horizon)
+        try:
+            x_eq = _face_equilibrium(net, s.indices, args.horizon)
+        except (PositivityViolation, StepUnderflow) as exc:
+            return _fail(EXIT_SOLVER, f"settling the face of {_names(s.indices)}: {exc}")
         if x_eq is None:
             lines.append(f"  {_names(s.indices)}: no face equilibrium settled")
             doc["face_blocks"].append(

@@ -63,6 +63,10 @@ class NonPositiveState(AnalysisError):
     """A state required to be strictly positive has a zero or negative entry."""
 
 
+class IdentityViolation(AnalysisError):
+    """A numerical identity that holds by construction failed beyond its tolerance."""
+
+
 class NotRegularSplitting(AnalysisError):
     """The supplied (gain, loss) splitting is not a regular splitting."""
 

@@ -30,14 +30,16 @@ import numpy as np
 
 from . import equilibrium as eq
 from . import ngm, sim, spectral
-from .errors import (BelowThreshold, NonDiagonalAS, NonPositiveState, NotCaseP,
-                     NotRankOne, NotRegularSplitting)
+from .errors import (BelowThreshold, IdentityViolation, NonDiagonalAS,
+                     NonPositiveState, NotCaseP, NotRankOne, NotRegularSplitting)
 from .model import BilinearModel, RankClass, RankTag, StateVector
 from .model import classify_rank
 
 WEIGHT_TOL = 1e-10
 CHAIN_RULE_TOL = 1e-8
 VIOLATION_TOL = 1e-7
+SETTLE_TOL = 1e-11
+CONV_REL_TOL = 1e-3
 
 
 def _gfun(theta: np.ndarray) -> np.ndarray:
@@ -49,6 +51,12 @@ def _require_diagonal_As(model: BilinearModel):
     off = model.A_S - np.diag(np.diag(model.A_S))
     if np.any(off != 0.0):
         raise NonDiagonalAS("this certificate requires a diagonal susceptible flow matrix")
+
+
+def _check_chain_rule(V_dot: float, chain: float):
+    gap = abs(float(V_dot - chain))
+    if not gap <= CHAIN_RULE_TOL * max(1.0, abs(float(V_dot))):
+        raise IdentityViolation(f"assembled derivative and chain rule disagree by {gap:.3e}")
 
 
 def _dfe_data(model: BilinearModel, rank: RankClass):
@@ -87,16 +95,14 @@ def v_dfe(model: BilinearModel, rank: RankClass, state: StateVector):
     derivative is
         -R0 sum_j mu_j (S_j - S0_j)^2 / S_j + (R0 - 1) (S0 B) . I
     plus, when recovery feedback is present, R0 (1 - S0/S) . (C I). The
-    closed form is asserted against the chain rule at the same state.
+    closed form is checked against the chain rule at the same state.
 
     Requires a shared routing column, diagonal A_S, and S > 0 entrywise.
     """
     S0, R0, w, mu = _dfe_data(model, rank)
     X = state.stacked[None, :]
     V, V_dot, chain = _v_dfe_batch(model, S0, R0, w, mu, X)
-    gap = abs(float(V_dot[0] - chain[0]))
-    assert gap <= CHAIN_RULE_TOL * max(1.0, abs(float(V_dot[0]))), \
-        f"assembled derivative and chain rule disagree by {gap:.3e}"
+    _check_chain_rule(V_dot[0], chain[0])
     return float(V[0]), float(V_dot[0])
 
 
@@ -104,7 +110,7 @@ def ee_weights(model: BilinearModel, S_bar: float | np.ndarray) -> np.ndarray:
     """Endemic certificate weights a = S_bar * beta (-A)^{-1} (m = 1 models).
 
     The weights satisfy a A = -S_bar beta and, at the endemic point,
-    a . alpha = 1; both identities are asserted.
+    a . alpha = 1; both identities are checked (IdentityViolation).
     """
     if model.m != 1:
         raise NotRankOne("endemic weights are defined for a single susceptible class")
@@ -112,8 +118,8 @@ def ee_weights(model: BilinearModel, S_bar: float | np.ndarray) -> np.ndarray:
     beta = model.B[0]
     a = S_bar * (beta @ spectral.m_inverse(model.A))
     err = float(np.max(np.abs(a @ model.A + S_bar * beta)))
-    assert err <= WEIGHT_TOL * max(1.0, S_bar * float(np.max(np.abs(beta)))), \
-        f"weight identity a A = -S_bar beta violated by {err:.3e}"
+    if not err <= WEIGHT_TOL * max(1.0, S_bar * float(np.max(np.abs(beta)))):
+        raise IdentityViolation(f"weight identity a A = -S_bar beta violated by {err:.3e}")
     return a
 
 
@@ -128,8 +134,8 @@ def _ee_data(model: BilinearModel, report: eq.EquilibriumReport):
     a = ee_weights(model, S_bar)
     alpha = model.P[:, 0]
     dot = float(a @ alpha)
-    assert abs(dot - 1.0) <= WEIGHT_TOL * 10, \
-        f"weight pairing a . alpha = 1 violated ({dot:.12f})"
+    if not abs(dot - 1.0) <= WEIGHT_TOL * 10:
+        raise IdentityViolation(f"weight pairing a . alpha = 1 violated ({dot:.12f})")
     # Pairwise well coefficients of the assembled derivative.
     c_mat = a[:, None] * model.A * I_bar[None, :]
     np.fill_diagonal(c_mat, 0.0)
@@ -170,15 +176,13 @@ def v_ee(model: BilinearModel, report: eq.EquilibriumReport, state: StateVector)
         - sum_{i, j} a_i alpha_i S_bar beta_j I_bar_j G(y_j s / y_i)
     with s = S/S_bar, y = I/I_bar: every coefficient is nonnegative, so
     V_dot <= 0, with a reported extra term (1 - S_bar/S) . (C I) when
-    recovery feedback is present. The assembled form is asserted against the
+    recovery feedback is present. The assembled form is checked against the
     chain rule.
     """
     pt, S_bar, I_bar, a, c_mat, d_mat, mu, Lam = _ee_data(model, report)
     X = state.stacked[None, :]
     V, V_dot, chain = _v_ee_batch(model, S_bar, I_bar, a, c_mat, d_mat, mu, Lam, X)
-    gap = abs(float(V_dot[0] - chain[0]))
-    assert gap <= CHAIN_RULE_TOL * max(1.0, abs(float(V_dot[0]))), \
-        f"assembled derivative and chain rule disagree by {gap:.3e}"
+    _check_chain_rule(V_dot[0], chain[0])
     return float(V[0]), float(V_dot[0])
 
 
@@ -195,6 +199,8 @@ def v_transversal(F: np.ndarray, V_mat: np.ndarray, pi: np.ndarray,
     ------
     NotRegularSplitting
         When F has a negative entry or V^{-1} is not entrywise nonnegative.
+    IdentityViolation
+        When R0 < 1 and Q_dot is positive beyond roundoff.
     """
     F = np.asarray(F, dtype=float)
     V_mat = np.asarray(V_mat, dtype=float)
@@ -217,24 +223,24 @@ def v_transversal(F: np.ndarray, V_mat: np.ndarray, pi: np.ndarray,
     q = pi @ V_mat
     Q = float(pi @ I)
     Q_dot = float((R0 - 1.0) * (q @ I) - pi @ f)
-    if R0 < 1.0:
-        assert Q_dot <= 1e-12 * max(1.0, abs(Q_dot)), "decay failed below threshold"
+    if R0 < 1.0 and not Q_dot <= 1e-12 * max(1.0, abs(Q_dot)):
+        raise IdentityViolation(f"decay failed below threshold (Q_dot = {Q_dot:.3e})")
     return Q, Q_dot
 
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    """Trajectory sampling plan for verify_decrease."""
+    """Trajectory sampling plan for verify_decrease.
+
+    Fixed parts are constants: start factors in [sim.IC_LOW, sim.IC_HIGH],
+    floored at sim.IC_FLOOR; settling to SETTLE_TOL; convergence within
+    CONV_REL_TOL of the attractor.
+    """
 
     n_trajectories: int = 20
     horizon: float = 200.0
     step: float = 0.01
     seed: int = 0
-    ic_low: float = 1e-3
-    ic_high: float = 10.0
-    i_floor: float = 1e-3
-    settle_tol: float | None = 1e-11
-    conv_rel_tol: float = 1e-3
 
 
 @dataclass
@@ -265,19 +271,24 @@ class LyapunovCertificate:
             "target": self.target.tolist(),
         }
 
+    def _write_rows(self, buf: io.StringIO, index: int, prefix: str = ""):
+        # .tolist() yields Python floats, whose repr is the bare shortest
+        # round-trip form (numpy 2 scalars repr as "np.float64(...)").
+        for t, v, vd in zip(self.times.tolist(), self.V[:, index].tolist(),
+                            self.V_dot[:, index].tolist()):
+            buf.write(f"{prefix}{t!r},{v!r},{vd!r}\n")
+
     def trace_csv(self, index: int = 0) -> str:
         buf = io.StringIO()
         buf.write("t,V,V_dot\n")
-        for t, v, vd in zip(self.times, self.V[:, index], self.V_dot[:, index]):
-            buf.write(f"{t!r},{v!r},{vd!r}\n")
+        self._write_rows(buf, index)
         return buf.getvalue()
 
     def all_traces_csv(self) -> str:
         buf = io.StringIO()
         buf.write("trajectory,t,V,V_dot\n")
         for i in range(self.V.shape[1]):
-            for t, v, vd in zip(self.times, self.V[:, i], self.V_dot[:, i]):
-                buf.write(f"{i},{t!r},{v!r},{vd!r}\n")
+            self._write_rows(buf, i, f"{i},")
         return buf.getvalue()
 
 
@@ -291,7 +302,7 @@ def verify_decrease(model: BilinearModel, kind: str,
     true when the worst signed derivative among all samples stays within
     VIOLATION_TOL (scaled by the derivative's magnitude); the assembled and
     chain-rule derivatives are compared on every sample; the convergence
-    fraction counts endpoints within conv_rel_tol of the attractor.
+    fraction counts endpoints within CONV_REL_TOL of the attractor.
     """
     cfg = config or SamplingConfig()
     rank = classify_rank(model) if rank is None else rank
@@ -314,12 +325,10 @@ def verify_decrease(model: BilinearModel, kind: str,
         raise ValueError(f"unknown certificate kind: {kind!r}")
 
     rng = np.random.default_rng(cfg.seed)
-    X0 = sim.sample_initial_conditions(rng, cfg.n_trajectories, target,
-                                       low=cfg.ic_low, high=cfg.ic_high,
-                                       floor=cfg.i_floor)
+    X0 = sim.sample_initial_conditions(rng, cfg.n_trajectories, target)
     batch = sim.integrate_batch(model.rhs, X0, cfg.horizon,
                                 sim.IntegratorConfig(step=cfg.step,
-                                                     settle_tol=cfg.settle_tol))
+                                                     settle_tol=SETTLE_TOL))
     T, N, d = batch.states.shape
     flat = batch.states.reshape(T * N, d)
     # Chunked evaluation: the endemic certificate builds (rows, n, n) ratio
@@ -336,7 +345,7 @@ def verify_decrease(model: BilinearModel, kind: str,
     worst = max(0.0, float(np.max(V_dot)))
     gap = float(np.max(np.abs(V_dot - chain)))
     dist = np.max(np.abs(batch.states[-1] - target[None, :]), axis=-1)
-    conv = float(np.mean(dist <= cfg.conv_rel_tol * max(1.0, float(np.max(np.abs(target))))))
+    conv = float(np.mean(dist <= CONV_REL_TOL * max(1.0, float(np.max(np.abs(target))))))
     return LyapunovCertificate(
         kind=kind,
         verdict=bool(worst <= VIOLATION_TOL * scale),

@@ -2,16 +2,19 @@
 
 The workhorse is classic fourth-order Runge-Kutta on a fixed grid, which
 preserves linear conserved quantities to roundoff and is plenty for the
-small, smooth systems in scope. An embedded Cash-Karp 5(4) pair is available
-when adaptive stepping is wanted. States are clamped to the nonnegative
-orthant: excursions within the clamp tolerance are zeroed, anything worse
-aborts the run.
+small, smooth systems in scope; integrate_batch holds the one fixed-step
+loop and integrate runs a single start as a batch of one. An embedded
+Cash-Karp 5(4) pair is available when adaptive stepping is wanted. Both
+loops evaluate the field once per accepted state, for the next step's first
+stage and the settle test alike. States are clamped to the nonnegative
+orthant: excursions within CLAMP_TOL are zeroed, anything worse aborts the
+run. Sampled starts use the IC_LOW, IC_HIGH and IC_FLOOR constants.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +24,9 @@ DEFAULT_STEP = 0.01
 DEFAULT_HORIZON = 100.0
 CLAMP_TOL = 1e-12
 MIN_ADAPTIVE_STEP = 1e-12
+IC_LOW = 1e-3
+IC_HIGH = 10.0
+IC_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -29,7 +35,8 @@ class IntegratorConfig:
 
     settle_tol, when set, stops the run early once the vector field norm
     falls below settle_tol * (1 + |x|): useful for convergence studies where
-    the tail adds nothing.
+    the tail adds nothing. The positivity clamp tolerance is the module
+    constant CLAMP_TOL.
     """
 
     step: float = DEFAULT_STEP
@@ -37,7 +44,6 @@ class IntegratorConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     settle_tol: float | None = None
-    clamp_tol: float = CLAMP_TOL
 
 
 @dataclass
@@ -73,20 +79,19 @@ class BatchTrajectory:
                           terminated_early=self.terminated_early, reason=self.reason)
 
 
-def _clamp(x: np.ndarray, tol: float) -> np.ndarray:
+def _clamp(x: np.ndarray) -> np.ndarray:
     worst = float(np.min(x)) if x.size else 0.0
     if worst >= 0.0:
         return x
     scale = max(1.0, float(np.max(np.abs(x))))
-    if worst < -tol * scale:
+    if worst < -CLAMP_TOL * scale:
         raise PositivityViolation(
             f"state left the nonnegative orthant by {-worst:.3e}"
         )
     return np.maximum(x, 0.0)
 
 
-def _rk4_step(rhs, x, h):
-    k1 = rhs(x)
+def _rk4_step(rhs, x, h, k1):
     k2 = rhs(x + 0.5 * h * k1)
     k3 = rhs(x + 0.5 * h * k2)
     k4 = rhs(x + h * k3)
@@ -106,8 +111,8 @@ _CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
 _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
 
 
-def _ck_step(rhs, x, h):
-    ks = [rhs(x)]
+def _ck_step(rhs, x, h, k1):
+    ks = [k1]
     for row in _CK_A[1:]:
         xi = x + h * sum(a * k for a, k in zip(row, ks))
         ks.append(rhs(xi))
@@ -116,18 +121,14 @@ def _ck_step(rhs, x, h):
     return x5, x5 - x4
 
 
-def _settled(rhs, x, tol):
-    f = rhs(x)
-    return float(np.max(np.abs(f))) <= tol * (1.0 + float(np.max(np.abs(x))))
-
-
 def integrate(rhs, x0, horizon: float,
               config: IntegratorConfig | None = None) -> Trajectory:
     """Integrate x' = rhs(x) from x0 over [0, horizon].
 
-    Fixed-step RK4 by default; Cash-Karp 5(4) with proportional step control
-    when config.adaptive is set. Every accepted state is clamped to the
-    nonnegative orthant within config.clamp_tol.
+    Fixed-step RK4 by default, run as integrate_batch on a batch of one, so
+    rhs must accept (1, d) arrays; Cash-Karp 5(4) with proportional step
+    control when config.adaptive is set. Every accepted state is clamped to
+    the nonnegative orthant within CLAMP_TOL.
 
     Raises
     ------
@@ -140,23 +141,7 @@ def integrate(rhs, x0, horizon: float,
     x = np.array(x0, dtype=float).ravel()
     if cfg.adaptive:
         return _integrate_adaptive(rhs, x, horizon, cfg)
-    n_steps = max(1, int(round(horizon / cfg.step)))
-    times = [0.0]
-    states = [x.copy()]
-    t = 0.0
-    early = False
-    reason = None
-    for i in range(n_steps):
-        x = _clamp(_rk4_step(rhs, x, cfg.step), cfg.clamp_tol)
-        t = (i + 1) * cfg.step
-        times.append(t)
-        states.append(x.copy())
-        if cfg.settle_tol is not None and _settled(rhs, x, cfg.settle_tol):
-            early = True
-            reason = "settled"
-            break
-    return Trajectory(times=np.array(times), states=np.array(states),
-                      terminated_early=early, reason=reason)
+    return integrate_batch(rhs, x[None, :], horizon, cfg).single(0)
 
 
 def _integrate_adaptive(rhs, x, horizon, cfg) -> Trajectory:
@@ -166,17 +151,20 @@ def _integrate_adaptive(rhs, x, horizon, cfg) -> Trajectory:
     states = [x.copy()]
     early = False
     reason = None
+    k1 = rhs(x)
     while t < horizon - 1e-15:
         h = min(h, horizon - t)
-        x_new, err = _ck_step(rhs, x, h)
+        x_new, err = _ck_step(rhs, x, h, k1)
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
         ratio = float(np.max(np.abs(err) / scale))
         if ratio <= 1.0:
-            x = _clamp(x_new, cfg.clamp_tol)
+            x = _clamp(x_new)
             t += h
             times.append(t)
             states.append(x.copy())
-            if cfg.settle_tol is not None and _settled(rhs, x, cfg.settle_tol):
+            k1 = rhs(x)
+            if cfg.settle_tol is not None and float(np.max(np.abs(k1))) <= \
+                    cfg.settle_tol * (1.0 + float(np.max(np.abs(x)))):
                 early = True
                 reason = "settled"
                 break
@@ -205,13 +193,14 @@ def integrate_batch(rhs, X0, horizon: float,
     states = [X.copy()]
     early = False
     reason = None
+    k1 = rhs(X)
     for i in range(n_steps):
-        X = _clamp(_rk4_step(rhs, X, cfg.step), cfg.clamp_tol)
+        X = _clamp(_rk4_step(rhs, X, cfg.step, k1))
         times.append((i + 1) * cfg.step)
         states.append(X.copy())
+        k1 = rhs(X)
         if cfg.settle_tol is not None:
-            F = rhs(X)
-            lhs = np.max(np.abs(F), axis=-1)
+            lhs = np.max(np.abs(k1), axis=-1)
             rhs_scale = 1.0 + np.max(np.abs(X), axis=-1)
             if np.all(lhs <= cfg.settle_tol * rhs_scale):
                 early = True
@@ -222,19 +211,17 @@ def integrate_batch(rhs, X0, horizon: float,
 
 
 def sample_initial_conditions(rng: np.random.Generator, n: int,
-                              reference: np.ndarray,
-                              low: float = 1e-3, high: float = 10.0,
-                              floor: float = 1e-3) -> np.ndarray:
+                              reference: np.ndarray) -> np.ndarray:
     """Log-uniform positive starts around a reference profile.
 
     Each coordinate is reference_j (or 1 where the reference vanishes)
-    times a log-uniform factor in [low, high], floored at `floor` so no
-    start sits on a coordinate face.
+    times a log-uniform factor in [IC_LOW, IC_HIGH], floored at IC_FLOOR so
+    no start sits on a coordinate face.
     """
     ref = np.asarray(reference, dtype=float).ravel()
     ref = np.where(ref > 0.0, ref, 1.0)
-    u = rng.uniform(np.log(low), np.log(high), size=(n, ref.size))
-    return np.maximum(np.exp(u) * ref, floor)
+    u = rng.uniform(np.log(IC_LOW), np.log(IC_HIGH), size=(n, ref.size))
+    return np.maximum(np.exp(u) * ref, IC_FLOOR)
 
 
 def empirical_gas(rhs, target: np.ndarray, n_starts: int = 20,

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from bbepi import lyapunov as lyap
 from bbepi.cli import main
+from test_crn import random_network
 
 SIR_JSON = json.dumps({
     "m": 1, "n": 1,
@@ -31,7 +33,7 @@ BAD_P_JSON = json.dumps({
 NONDIAG_AS_JSON = json.dumps({
     "m": 2, "n": 1,
     "A": [[-1.0]], "A_S": [[-1.0, 0.4], [0.3, -1.0]],
-    "B": [[0.2], [0.2]], "P": [[0.5, 0.5]],
+    "B": [[0.2], [0.2]], "P": [[1.0, 1.0]],
     "Lambda": [0.5, 0.5],
 })
 
@@ -42,6 +44,13 @@ GENERAL_RANK_JSON = json.dumps({
     "B": [[3.0, 0.4], [0.5, 2.0]],
     "P": [[0.7, 0.2], [0.3, 0.8]],
     "Lambda": [1.0, 0.8],
+})
+
+NOT_HURWITZ_JSON = json.dumps({
+    "m": 1, "n": 1,
+    "A": [[0.5]], "A_S": [[-1.0]],
+    "B": [[0.5]], "P": [[1.0]],
+    "Lambda": [1.0],
 })
 
 SIRS_RXN = """
@@ -181,6 +190,28 @@ def test_lyapunov_nondiagonal_susceptible_block_exits_4(tmp_path, capsys):
     assert rc == 4
 
 
+def test_lyapunov_ee_on_general_rank_exits_4(tmp_path, capsys):
+    path = write_model(tmp_path, GENERAL_RANK_JSON)
+    rc = main(["lyapunov", str(path), "--kind", "ee", "--out", str(tmp_path)])
+    assert rc == 4
+    assert "rank-one" in capsys.readouterr().err
+
+
+def test_lyapunov_not_hurwitz_exits_2(tmp_path, capsys):
+    path = write_model(tmp_path, NOT_HURWITZ_JSON)
+    rc = main(["lyapunov", str(path), "--kind", "dfe", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "A.hurwitz" in capsys.readouterr().err
+
+
+def test_lyapunov_failed_identity_exits_3(tmp_path, sir_path, capsys, monkeypatch):
+    monkeypatch.setattr(lyap, "WEIGHT_TOL", -1.0)
+    rc = main(["lyapunov", str(sir_path), "--kind", "ee", "--out", str(tmp_path),
+               "--trajectories", "2", "--horizon", "1"])
+    assert rc == 3
+    assert "identity" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- scan
 
 def test_scan_roots_track_threshold(tmp_path, sir_path, capsys):
@@ -242,6 +273,24 @@ def test_siphons_parse_error_exits_2(tmp_path, capsys):
     bad.write_text("s + i : 2.0\n")
     rc = main(["siphons", str(bad), "--out", str(tmp_path)])
     assert rc == 2
+
+
+def test_siphons_face_leaving_orthant_exits_3(tmp_path, capsys):
+    # Settling one face of this random network leaves the orthant.
+    net = random_network(np.random.default_rng(16), 16, 32)
+
+    def side(v):
+        return " + ".join((f"{int(c)} " if c > 1 else "") + net.species[i]
+                          for i, c in enumerate(v) if c > 0)
+
+    lines = ["species: " + " ".join(net.species)]
+    lines += [f"{side(r.source)} -> {side(r.output)} : {r.rate_constant!r}"
+              for r in net.reactions]
+    path = tmp_path / "random16.rxn"
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["siphons", str(path), "--out", str(tmp_path)])
+    assert rc == 3
+    assert "orthant" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- simulate

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bbepi as bb
+from bbepi import spectral
 from conftest import diagonal_As, random_model, with_r0
 
 rng0 = np.random.default_rng
@@ -246,6 +247,40 @@ def test_verify_decrease_trace_csv_shape(sir):
     all_lines = cert.all_traces_csv().strip().splitlines()
     assert all_lines[0] == "trajectory,t,V,V_dot"
     assert len(all_lines) == 3 * cert.times.size + 1
+
+
+def test_verify_decrease_csv_cells_are_exact_floats(sir):
+    # Every cell parses as a plain float equal to the certificate's value
+    # (numpy 2 scalars would repr as "np.float64(...)").
+    cfg = bb.SamplingConfig(n_trajectories=3, horizon=2.0)
+    cert = bb.verify_decrease(sir, "ee", cfg)
+
+    def columns(index):
+        return np.column_stack([cert.times, cert.V[:, index], cert.V_dot[:, index]])
+
+    rows = [[float(c) for c in line.split(",")]
+            for line in cert.trace_csv(1).splitlines()[1:]]
+    assert np.array_equal(np.array(rows), columns(1))
+    rows = [[float(c) for c in line.split(",")]
+            for line in cert.all_traces_csv().splitlines()[1:]]
+    expected = np.vstack([np.column_stack([np.full(cert.times.size, i), columns(i)])
+                          for i in range(3)])
+    assert np.array_equal(np.array(rows), expected)
+
+
+def test_failed_identity_raises_typed_error(sir, monkeypatch):
+    # A wrong resolvent breaks the weight identity a A = -S_bar beta; the
+    # check must raise, not assert (asserts vanish under python -O).
+    real = spectral.m_inverse
+    monkeypatch.setattr(spectral, "m_inverse", lambda A: 2.0 * real(A))
+    with pytest.raises(bb.IdentityViolation):
+        bb.ee_weights(sir, 0.5)
+
+
+def test_nan_identity_raises_typed_error(sir):
+    # A NaN residual fails every identity check instead of passing it.
+    with pytest.raises(bb.IdentityViolation):
+        bb.ee_weights(sir, np.nan)
 
 
 def test_verify_decrease_hypothesis_errors():

@@ -81,6 +81,22 @@ def test_settle_tol_stops_early(sir):
     assert traj.times[-1] < 1000.0
 
 
+def test_fixed_step_evaluates_field_four_times_per_step(sir):
+    # The field at each accepted state is both the settle test's input and
+    # the next step's first stage, so it is evaluated once.
+    calls = []
+
+    def rhs(x):
+        calls.append(1)
+        return sir.rhs(x)
+
+    traj = bb.integrate(rhs, np.array([0.9, 0.1]), 1.0,
+                        bb.IntegratorConfig(step=0.01, settle_tol=1e-10))
+    steps = traj.times.size - 1
+    assert not traj.terminated_early and steps == 100
+    assert len(calls) == 4 * steps + 1
+
+
 def test_batch_matches_single_runs(sir):
     X0 = np.array([[0.9, 0.1], [0.5, 0.7], [2.0, 0.01]])
     batch = bb.integrate_batch(sir.rhs, X0, 20.0, bb.IntegratorConfig(step=0.01))
@@ -102,8 +118,7 @@ def test_trajectory_csv_format(sir):
 def test_sample_initial_conditions_ranges():
     rng = rng0(70)
     ref = np.array([2.0, 0.0, 0.5])
-    X = sample_initial_conditions(rng, 200, ref, low=1e-3, high=10.0,
-                                  floor=1e-3)
+    X = sample_initial_conditions(rng, 200, ref)
     assert X.shape == (200, 3)
     assert np.all(X >= 1e-3)
     # Log-uniform window scales with the reference where it is positive.
