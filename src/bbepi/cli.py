@@ -197,7 +197,7 @@ def cmd_analyze(args) -> int:
 
     try:
         law, report = _solve_endemic(model, rank)
-    except (NoConvergence, NoBracket) as exc:
+    except (NoConvergence, NoBracket, IdentityViolation) as exc:
         return _fail(EXIT_SOLVER, str(exc))
     lines += ["", "[equilibria]", f"R0: {_fmt(report.R0)}",
               f"S0: {_fmt_vec(report.S0)}",

@@ -6,9 +6,11 @@ The disease-free equilibrium is S0 = (-A_S)^{-1} Lambda. Above threshold
 * rank-one transmission: the infection profile lies on an explicit ray and
   its amplitude k solves a scalar equation H(k) = 1, with H strictly
   decreasing from H(0) = R0, so the root is unique and bracketable;
-* general transmission: the susceptible profile is pinned by the spectral
-  condition rho(K~(S)) = 1, solved by a damped fixed-point iteration on S
-  nested inside a bracketed scalar root find on the ray amplitude.
+* general transmission: the force of infection u = B I in R^m solves the
+  closed m-dimensional system u = G (S(u) * u), S(u) = (Diag(u) - A_S)^{-1}
+  Lambda, G = B (-A)^{-1} P, by Newton's method with an analytic Jacobian,
+  seeded on the Perron ray of the loop form G Diag(S0); the threshold
+  condition rho(K~(S)) = 1 is verified at the result.
 
 With recovery feedback C != 0 (shared-routing models) the scalar law gains a
 feedback term, H_C(k), which can cross one several times; feedback_analysis
@@ -27,8 +29,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import ngm, spectral
-from .errors import (BelowThreshold, NoBracket, NoConvergence, NotApplicable,
-                     NotCaseP, NotRankOne)
+from .errors import (BelowThreshold, IdentityViolation, NoBracket,
+                     NoConvergence, NotApplicable, NotCaseP, NotRankOne)
 from .model import BilinearModel, RankClass, RankTag, StateVector
 
 THRESHOLD_BAND = 1e-9
@@ -36,15 +38,16 @@ NORMALIZATION_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
 SPECTRAL_RADIUS_TOL = 1e-8
 MAX_DOUBLINGS = 60
+MAX_HALVINGS = 60
 EXTRA_DOUBLINGS = 4
 SCAN_GRID_POINTS = 2000
 SCAN_K_MIN = 1e-8
 BISECT_XTOL = 1e-12
 DOUBLE_ROOT_VALUE_TOL = 1e-8
 DOUBLE_ROOT_DERIV_TOL = 1e-6
-FIXED_POINT_DAMPING = 0.5
-FIXED_POINT_TOL = 1e-13
-FIXED_POINT_MAXITER = 2000
+SEED_REL_TOL = 1e-6
+NEWTON_TOL = 1e-12
+NEWTON_MAXITER = 50
 
 
 def dfe(model: BilinearModel) -> np.ndarray:
@@ -210,8 +213,9 @@ def endemic_rank_one(model: BilinearModel, rank: RankClass) -> EquilibriumReport
         I_bar = k_star * (Ainv @ (model.P @ (S_bar * rank.alpha_m)))
 
     norm_err = abs(float(S_bar @ R) - 1.0)
-    assert norm_err <= NORMALIZATION_TOL, \
-        f"endemic normalization S_bar . R = 1 violated by {norm_err:.3e}"
+    if not norm_err <= NORMALIZATION_TOL:
+        raise IdentityViolation(
+            f"endemic normalization S_bar . R = 1 violated by {norm_err:.3e}")
     res = residual_inf(model, S_bar, I_bar)
     scale = 1.0 + float(np.max(np.abs(np.concatenate([S_bar, I_bar]))))
     if res > RESIDUAL_TOL * scale:
@@ -221,11 +225,6 @@ def endemic_rank_one(model: BilinearModel, rank: RankClass) -> EquilibriumReport
     rep.endemic_points.append(EndemicPoint(S_bar=S_bar, I_bar=I_bar,
                                            k=float(k_star), residual=res))
     return rep
-
-
-def _perron_direction(M: np.ndarray) -> np.ndarray:
-    """Right Perron vector of a nonnegative matrix, normalized to unit sum."""
-    return spectral.perron(M).w_right
 
 
 def _newton_polish(model: BilinearModel, S: np.ndarray, I: np.ndarray,
@@ -254,69 +253,85 @@ def _newton_polish(model: BilinearModel, S: np.ndarray, I: np.ndarray,
     return x[:m], x[m:]
 
 
-def endemic_spectral(model: BilinearModel,
-                     damping: float = FIXED_POINT_DAMPING) -> EquilibriumReport:
-    """Endemic equilibrium via the spectral threshold condition (any rank).
+def endemic_spectral(model: BilinearModel) -> EquilibriumReport:
+    """Endemic equilibrium of a feedback-free model of any transmission rank.
 
-    An equilibrium with I != 0 forces rho(K~(S)) = 1, and I then lies on the
-    ray k (-A)^{-1} P Diag(S) v(S) spanned by the Perron direction v(S) of
-    the m x m form K~(S). At such a point B I = k v(S), so for a fixed
-    amplitude k the susceptible block must satisfy
+    With u = B I the force of infection, an equilibrium has
+    S(u) = (Diag(u) - A_S)^{-1} Lambda and I = (-A)^{-1} P (S(u) * u), so u
+    solves the m-dimensional system
 
-        S = (k Diag(v(S)) - A_S)^{-1} Lambda,
+        F(u) = u - G (S(u) * u) = 0,   G = B (-A)^{-1} P,
 
-    which is solved by damped fixed-point iteration; the outer scalar
-    equation rho(K~(S(k))) = 1 is strictly bracketed (value R0 at k = 0,
-    below one for large k) and handed to a guarded scalar root finder. A few
-    Newton steps on the full system then tighten the residual.
+    which is solved by Newton's method with the analytic Jacobian
+    I - G Diag(S) + G Diag(u) (Diag(u) - A_S)^{-1} Diag(S), halving each
+    step until u stays positive. The seed lies on the Perron ray t v of the
+    loop form G Diag(S0), with the amplitude t bisected on the scalar
+    condition pi . G Diag(S(t v)) v = pi . v (pi, v the left and right
+    Perron vectors); its left side decreases in t because S(u) decreases
+    entrywise in u. For irreducible G the endemic point is unique
+    (Lajmanovich & Yorke 1976), so one root is all there is. A few Newton
+    steps on the full system then tighten the residual, and the threshold
+    condition rho(K~(S_bar)) = 1 is verified.
 
-    Requires C = 0 and an irreducible circulation matrix B (-A)^{-1} P.
+    Requires C = 0 and an irreducible circulation matrix G.
     """
     _require_no_feedback(model, "endemic_spectral")
     G = ngm.loop_gain(model)
     S0 = dfe(model)
-    R0 = spectral.perron(G * S0[None, :]).rho
+    sd = spectral.perron(G * S0[None, :])
+    R0 = sd.rho
     if R0 <= 1.0 or abs(R0 - 1.0) <= THRESHOLD_BAND:
         return _threshold_report(S0, R0, "spectral",
                                  "R0 <= 1: no positive endemic equilibrium")
     if not spectral.is_irreducible(G):
         raise NotApplicable("circulation matrix B(-A)^{-1}P is reducible")
 
-    def S_of_k(k: float) -> np.ndarray:
-        S = S0.copy()
-        d = damping
-        prev_gap = np.inf
-        for _ in range(FIXED_POINT_MAXITER):
-            v = _perron_direction(G * S[None, :])
-            target = np.linalg.solve(k * np.diag(v) - model.A_S, model.Lambda)
-            gap = float(np.max(np.abs(target - S)))
-            if gap < FIXED_POINT_TOL * (1.0 + float(np.max(np.abs(S)))):
-                return target
-            if gap > prev_gap:
-                d = max(0.05, d * 0.5)  # oscillating; damp harder
-            prev_gap = gap
-            S = (1.0 - d) * S + d * target
-        raise NoConvergence(
-            f"susceptible fixed point stalled at gap {prev_gap:.3e} for k={k:.3e}"
-        )
+    v, pi = sd.w_right, sd.pi_left
+    target = float(pi @ v)
+    piG = pi @ G
 
-    def phi(k: float) -> float:
-        return spectral.perron(ngm.loop_ngm(model, S_of_k(k), gain=G)).rho - 1.0
+    def seed_gap(t: float) -> float:
+        S = np.linalg.solve(t * np.diag(v) - model.A_S, model.Lambda)
+        return float(piG @ (S * v)) - target
 
-    k_hi = 1.0
+    t_lo, t_hi = 0.0, 1.0
     for _ in range(MAX_DOUBLINGS):
-        if phi(k_hi) < 0.0:
+        if seed_gap(t_hi) < 0.0:
             break
-        k_hi *= 2.0
+        t_lo, t_hi = t_hi, 2.0 * t_hi
     else:
-        raise NoBracket(f"spectral radius stayed >= 1 out to k = {k_hi:.3e}")
-    k_star = brentq(phi, 0.0, k_hi, xtol=BISECT_XTOL, rtol=1e-15)
+        raise NoBracket(f"seed condition stayed >= 0 out to t = {t_hi:.3e}")
+    while t_hi - t_lo > SEED_REL_TOL * t_hi:
+        t_mid = 0.5 * (t_lo + t_hi)
+        if seed_gap(t_mid) < 0.0:
+            t_hi = t_mid
+        else:
+            t_lo = t_mid
 
-    S_bar = S_of_k(k_star)
-    v = _perron_direction(G * S_bar[None, :])
-    Ainv = spectral.m_inverse(model.A)
-    I_bar = k_star * (Ainv @ (model.P @ (S_bar * v)))
-    S_bar, I_bar = _newton_polish(model, S_bar, I_bar)
+    u = t_hi * v
+    for iters in range(NEWTON_MAXITER + 1):
+        M = np.diag(u) - model.A_S
+        S = np.linalg.solve(M, model.Lambda)
+        F = u - G @ (S * u)
+        F_inf = float(np.max(np.abs(F)))
+        if F_inf <= NEWTON_TOL * float(np.max(u)):
+            break
+        if iters == NEWTON_MAXITER:
+            raise NoConvergence(f"Newton on u = B I did not converge in {iters} "
+                                f"iterations (||F||_inf = {F_inf:.3e})")
+        J = (np.eye(model.m) - G * S[None, :]
+             + (G * u[None, :]) @ np.linalg.solve(M, np.diag(S)))
+        step = np.linalg.solve(J, F)
+        for _ in range(MAX_HALVINGS):
+            if np.all(u - step > 0.0):
+                break
+            step = 0.5 * step
+        else:
+            raise NoConvergence("Newton step on u = B I cannot keep u positive")
+        u = u - step
+
+    I_bar = spectral.m_inverse(model.A) @ (model.P @ (S * u))
+    S_bar, I_bar = _newton_polish(model, S, I_bar)
 
     rho_at = spectral.perron(ngm.loop_ngm(model, S_bar, gain=G)).rho
     if abs(rho_at - 1.0) > SPECTRAL_RADIUS_TOL:

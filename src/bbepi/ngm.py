@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .errors import NonPositiveState, NotRankOne
+from .errors import IdentityViolation, NonPositiveState, NotRankOne
 from .model import BilinearModel, RankClass, RankTag
 
 SPECTRUM_MATCH_TOL = 1e-10
@@ -46,7 +46,8 @@ def ngm_at(model: BilinearModel, S: np.ndarray) -> NgmBundle:
     """K(S), K~(S) and their shared spectral radius at profile S >= 0.
 
     The two products have identical nonzero spectra; the agreement of the
-    two radii is asserted to 1e-10 as an internal consistency check.
+    two radii is checked to 1e-10 as an internal consistency check, and a
+    disagreement raises IdentityViolation.
     """
     S = np.asarray(S, dtype=float).ravel()
     if np.any(S < 0):
@@ -57,8 +58,9 @@ def ngm_at(model: BilinearModel, S: np.ndarray) -> NgmBundle:
     K_tilde = Ainv @ F
     rho_K = spectral.perron(K).rho
     rho_Kt = spectral.perron(K_tilde).rho
-    assert abs(rho_K - rho_Kt) <= SPECTRUM_MATCH_TOL * max(1.0, rho_K), \
-        "spectral radii of K and K~ disagree"
+    gap = abs(rho_K - rho_Kt)
+    if not gap <= SPECTRUM_MATCH_TOL * max(1.0, rho_K):
+        raise IdentityViolation(f"spectral radii of K and K~ disagree by {gap:.3e}")
     return NgmBundle(F=F, K=K, K_tilde=K_tilde, R0=rho_K, at_state=S)
 
 

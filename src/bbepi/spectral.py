@@ -1,10 +1,11 @@
 """Spectral kernel for nonnegative and Metzler matrices.
 
 Provides the Perron root/vector machinery the rest of the package leans on:
-irreducibility testing, power iteration with a dense fallback, resolvent
-inverses of Hurwitz Metzler matrices, and the rank-one adjugate identity at
-the rightmost eigenvalue (diagonal cofactors proportional to the product of
-the right and left Perron vectors).
+irreducibility testing, one dense eigen kernel (np.linalg.eig of M and M^T
+at the rightmost eigenvalue), resolvent inverses of Hurwitz Metzler
+matrices, and the rank-one adjugate identity at the rightmost eigenvalue
+(diagonal cofactors proportional to the product of the right and left
+Perron vectors).
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoConvergence, RankTestFailure, SingularMatrix
+from .errors import RankTestFailure, SingularMatrix
 
-# Numerical policy knobs. Matrices in scope are small (k <= 64), so the
-# defaults favour robustness over speed.
-POWER_TOL = 1e-12
-POWER_MAXITER = 10000
-DENSE_FALLBACK_MAX = 64
+# Numerical policy knobs. Matrices in scope are small (k <= 64), so every
+# eigen-solve is dense. Perron vector entries below PERRON_ZERO_TOL times
+# the largest entry are set to zero (reducible input).
+PERRON_ZERO_TOL = 1e-11
 MINV_RESIDUAL_TOL = 1e-10
 MINV_SIGN_TOL = 1e-12
 DET_SINGULAR_TOL = 1e-12
@@ -108,51 +108,14 @@ def _reaches_all(adj: np.ndarray, start: int) -> bool:
     return bool(seen.all())
 
 
-def _power_iteration(M: np.ndarray, tol: float, maxiter: int):
-    """Dominant eigenpair of a nonnegative matrix by power iteration.
-
-    Returns (eigenvalue, vector) or None when the iteration fails to settle.
-    The caller guarantees M has a strictly positive diagonal, which makes
-    every irreducible input primitive and the iteration convergent.
-    """
-    k = M.shape[0]
-    v = np.full(k, 1.0 / k)
-    lam = 0.0
-    for _ in range(maxiter):
-        w = M @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0, v  # nilpotent-like direction; eigenvalue 0
-        w = w / norm
-        # Perron vectors of nonnegative matrices are sign-constant; keep +.
-        if w.sum() < 0:
-            w = -w
-        lam = float(w @ M @ w)
-        if np.linalg.norm(w - v) < tol * max(1.0, np.linalg.norm(w)):
-            return lam, w
-        v = w
-    return None
-
-
-def _dense_perron(M: np.ndarray):
-    """Dominant-real-part eigenpair by dense decomposition (fallback path)."""
-    vals, vecs = np.linalg.eig(M)
-    idx = int(np.argmax(vals.real))
-    lam = float(vals[idx].real)
-    v = vecs[:, idx].real
-    if v.sum() < 0:
-        v = -v
-    return lam, v
-
-
-def perron(M: np.ndarray, tol: float = POWER_TOL, maxiter: int = POWER_MAXITER) -> SpectralData:
+def perron(M: np.ndarray) -> SpectralData:
     """Perron root and left/right vectors of a nonnegative or Metzler matrix.
 
-    The matrix is shifted by c*Id with c = max(0, -min diagonal) + 1, which is
-    nonnegative with a strictly positive diagonal, so power iteration converges
-    whenever the matrix is irreducible. On iteration failure the computation
-    falls back to a dense eigendecomposition for sizes up to 64 and raises
-    NoConvergence above that.
+    Both vectors come from dense eigendecompositions of M and M^T, taken at
+    the eigenvalue with the largest real part; for Metzler input that
+    eigenvalue is real and is the spectral abscissa. rho equals it when M
+    is nonnegative and is max |lambda| over the spectrum otherwise (a
+    negative diagonal can put the largest modulus elsewhere).
 
     For reducible input rho and s_abs are still correct (taken from the full
     spectrum) but the vectors may have zero entries.
@@ -161,10 +124,6 @@ def perron(M: np.ndarray, tol: float = POWER_TOL, maxiter: int = POWER_MAXITER) 
     ----------
     M : ndarray
         Square matrix with nonnegative off-diagonal entries.
-    tol : float
-        Relative change threshold on the iterated vector.
-    maxiter : int
-        Power iteration cap before the dense fallback.
 
     Returns
     -------
@@ -176,40 +135,20 @@ def perron(M: np.ndarray, tol: float = POWER_TOL, maxiter: int = POWER_MAXITER) 
     off = M - np.diag(np.diag(M))
     if np.min(off) < 0:
         raise ValueError("matrix has a negative off-diagonal entry; not Metzler")
-    k = M.shape[0]
-    nonneg = bool(np.min(M) >= 0.0)
-    shift = max(0.0, -float(np.min(np.diag(M)))) + 1.0
-    Ms = M + shift * np.eye(k)
-
-    right = _power_iteration(Ms, tol, maxiter)
-    left = _power_iteration(Ms.T, tol, maxiter)
-    if right is None or left is None:
-        if k > DENSE_FALLBACK_MAX:
-            raise NoConvergence(
-                f"power iteration did not converge in {maxiter} steps for size {k}"
-            )
-        right = _dense_perron(Ms)
-        left = _dense_perron(Ms.T)
-    lam_s, w = right
-    _, pi = left
-
-    s_abs = lam_s - shift
-    if nonneg:
-        rho = s_abs
-    else:
-        # The spectral radius of a Metzler matrix with negative diagonal can
-        # sit on an eigenvalue other than the rightmost one; read it off the
-        # full spectrum (sizes in scope are tiny).
-        if k > DENSE_FALLBACK_MAX:
-            raise NoConvergence(
-                f"spectral radius of a non-nonnegative Metzler matrix needs a dense "
-                f"solve, unsupported above size {DENSE_FALLBACK_MAX} (got {k})"
-            )
-        rho = float(np.max(np.abs(np.linalg.eigvals(M))))
+    vals, vecs = np.linalg.eig(M)
+    top = int(np.argmax(vals.real))
+    lvals, lvecs = np.linalg.eig(M.T)
+    w = vecs[:, top].real
+    pi = lvecs[:, int(np.argmax(lvals.real))].real
+    # Perron vectors are sign-constant; keep the nonnegative orientation.
+    w = -w if w.sum() < 0 else w
+    pi = -pi if pi.sum() < 0 else pi
+    s_abs = float(vals[top].real)
+    rho = s_abs if np.min(M) >= 0.0 else float(np.max(np.abs(vals)))
 
     irr = is_irreducible(M)
-    w = np.where(np.abs(w) < 10 * tol * np.max(np.abs(w)), 0.0, w)
-    pi = np.where(np.abs(pi) < 10 * tol * np.max(np.abs(pi)), 0.0, pi)
+    w = np.where(np.abs(w) < PERRON_ZERO_TOL * np.max(np.abs(w)), 0.0, w)
+    pi = np.where(np.abs(pi) < PERRON_ZERO_TOL * np.max(np.abs(pi)), 0.0, pi)
     wsum = w.sum()
     if wsum != 0.0:
         w = w / wsum
@@ -225,13 +164,15 @@ def m_inverse(A: np.ndarray) -> np.ndarray:
     """Inverse of -A for a Hurwitz Metzler matrix A.
 
     The result of (-A)^{-1} is entrywise nonnegative for such A; this is
-    asserted up to roundoff, along with the inversion residual.
+    checked up to roundoff, along with the inversion residual.
 
     Raises
     ------
     SingularMatrix
         When |det A| is below 1e-12 relative to the Hadamard bound of A
-        (the Hurwitz property has failed numerically).
+        (the Hurwitz property has failed numerically), when the inverse has
+        a negative entry (A is not a Hurwitz Metzler matrix), or when the
+        inversion residual is too large.
     """
     A = np.asarray(A, dtype=float)
     k = A.shape[0]
@@ -241,7 +182,10 @@ def m_inverse(A: np.ndarray) -> np.ndarray:
         raise SingularMatrix(f"matrix is singular to tolerance (det={det:.3e})")
     out = np.linalg.solve(-A, np.eye(k))
     scale = max(1.0, float(np.max(np.abs(out))))
-    assert float(np.min(out)) >= -MINV_SIGN_TOL * scale, "(-A)^{-1} has a negative entry"
+    low = float(np.min(out))
+    if not low >= -MINV_SIGN_TOL * scale:
+        raise SingularMatrix(
+            f"(-A)^{{-1}} has a negative entry ({low:.3e}); A is not Hurwitz Metzler")
     residual = float(np.max(np.abs((-A) @ out - np.eye(k))))
     if residual > MINV_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(A)))):
         raise SingularMatrix(f"inversion residual {residual:.3e} too large")

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from bbepi import equilibrium as eq
 from bbepi import lyapunov as lyap
 from bbepi.cli import main
 from test_crn import random_network
@@ -44,6 +45,15 @@ GENERAL_RANK_JSON = json.dumps({
     "B": [[3.0, 0.4], [0.5, 2.0]],
     "P": [[0.7, 0.2], [0.3, 0.8]],
     "Lambda": [1.0, 0.8],
+})
+
+REDUCIBLE_GAIN_JSON = json.dumps({
+    "m": 2, "n": 2,
+    "A": [[-1.0, 0.0], [0.0, -2.0]],
+    "A_S": [[-1.0, 0.0], [0.0, -1.0]],
+    "B": [[3.0, 0.0], [0.0, 1.0]],
+    "P": [[1.0, 0.0], [0.0, 1.0]],
+    "Lambda": [1.0, 1.0],
 })
 
 NOT_HURWITZ_JSON = json.dumps({
@@ -129,6 +139,25 @@ def test_analyze_general_rank_spectral_path(tmp_path):
     assert doc["structure"]["rank"]["tag"] == "General"
     if doc["equilibrium"]["R0"] > 1.0:
         assert len(doc["equilibrium"]["endemic_points"]) >= 1
+
+
+def test_analyze_reducible_gain_reports_no_solver(tmp_path):
+    path = write_model(tmp_path, REDUCIBLE_GAIN_JSON)
+    rc = main(["analyze", str(path), "--out", str(tmp_path)])
+    assert rc == 0
+    text = (tmp_path / "analysis.txt").read_text()
+    assert "solver: none" in text
+    assert "reducible" in text
+    doc = json.loads((tmp_path / "analysis.json").read_text())
+    assert doc["equilibrium"]["solver"] == "none"
+    assert doc["equilibrium"]["endemic_points"] == []
+
+
+def test_analyze_failed_identity_exits_3(tmp_path, sir_path, capsys, monkeypatch):
+    monkeypatch.setattr(eq, "NORMALIZATION_TOL", -1.0)
+    rc = main(["analyze", str(sir_path), "--out", str(tmp_path)])
+    assert rc == 3
+    assert "normalization" in capsys.readouterr().err
 
 
 def test_analyze_missing_file_exits_2(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bbepi as bb
+from bbepi import equilibrium as eq
 from bbepi.ngm import loop_ngm
 from conftest import (diagonal_As, feedback_C, oracle_endemic_points,
                       oracle_fd_jacobian, oracle_root_count, random_model,
@@ -106,6 +107,39 @@ def test_spectral_solver_below_threshold_no_points():
     assert not rep.endemic_points
     oracle = oracle_endemic_points(model)
     assert not oracle
+
+
+def test_spectral_solver_sweep_meets_threshold_and_residual():
+    rng = rng0(45)
+    for r0 in (1.0001, 1.01, 3.0, 100.0, 1000.0):
+        for _ in range(8):
+            m, n = int(rng.integers(2, 11)), int(rng.integers(2, 11))
+            model = with_r0(random_model(rng, m, n, "general"), r0)
+            (p,) = bb.endemic_spectral(model).endemic_points
+            assert np.all(p.S_bar > 0) and np.all(p.I_bar > 0)
+            rho = bb.ngm_at(model, p.S_bar).R0
+            assert abs(rho - 1.0) <= eq.SPECTRAL_RADIUS_TOL
+            assert p.residual <= eq.RESIDUAL_TOL
+
+
+def test_spectral_solver_refuses_reducible_circulation():
+    # B (-A)^{-1} P = diag(3, 0.5): R0 = 3, but the two classes never mix.
+    model = bb.BilinearModel(A=np.diag([-1.0, -2.0]), A_S=-np.eye(2),
+                             B=np.diag([3.0, 1.0]), P=np.eye(2),
+                             Lambda=np.ones(2))
+    assert bb.reproduction_number(model) == pytest.approx(3.0, abs=1e-12)
+    with pytest.raises(bb.NotApplicable, match="reducible"):
+        bb.endemic_spectral(model)
+
+
+def test_spectral_solver_names_newton_cap(monkeypatch):
+    # This model needs two Newton iterations from its Perron-ray seed.
+    model = with_r0(random_model(rng0(40), 10, 10, "general"), 1000.0)
+    assert bb.endemic_spectral(model).endemic_points
+    monkeypatch.setattr(eq, "NEWTON_MAXITER", 1)
+    with pytest.raises(bb.NoConvergence,
+                       match=r"in 1 iterations \(\|\|F\|\|_inf = \d\.\d{3}e-\d+\)"):
+        bb.endemic_spectral(model)
 
 
 def test_threshold_band_reports_marginal():

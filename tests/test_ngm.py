@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bbepi as bb
+from bbepi import ngm
 from bbepi.ngm import loop_ngm
 from conftest import random_model, with_r0
 
@@ -137,3 +138,11 @@ def test_ngm_rejects_negative_susceptibles():
     model = random_model(rng, 2, 2)
     with pytest.raises(bb.NonPositiveState):
         bb.ngm_at(model, np.array([-0.1, 1.0]))
+
+
+def test_ngm_at_radius_disagreement_raises_typed_error(monkeypatch):
+    # The K / K~ radius agreement is a checked identity, not an assert.
+    model = random_model(rng0(29), 2, 3)
+    monkeypatch.setattr(ngm, "SPECTRUM_MATCH_TOL", -1.0)
+    with pytest.raises(bb.IdentityViolation):
+        bb.ngm_at(model, bb.dfe(model))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bbepi as bb
 from conftest import random_metzler_hurwitz
@@ -60,11 +62,37 @@ def test_perron_metzler_shift_invariance():
         assert data.s_abs == pytest.approx(bb.spectral_abscissa(M), abs=1e-10)
 
 
-def test_perron_reducible_falls_back_to_dense():
+def test_perron_reducible_reports_full_spectrum_radius():
     M = np.array([[2.0, 0.0], [1.0, 1.0]])
     data = bb.perron(M)
     assert not data.irreducible
     assert data.rho == pytest.approx(2.0, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       density=st.sampled_from([0.1, 0.3, 1.0]), metzler=st.booleans())
+def test_perron_matches_dense_spectrum(k, seed, density, metzler):
+    # Sparse draws are often reducible; a Metzler draw gets a negative
+    # diagonal, which can move the largest modulus off the rightmost root.
+    rng = np.random.default_rng(seed)
+    M = rng.uniform(0.0, 2.0, size=(k, k)) * (rng.random((k, k)) < density)
+    if metzler:
+        M[np.diag_indices(k)] = -rng.uniform(0.0, 4.0, size=k)
+    eigs = np.linalg.eigvals(M)
+    scale = max(1.0, float(np.max(np.abs(eigs))))
+    tol = 1e-7 * scale
+    data = bb.perron(M)
+    assert data.irreducible == bb.is_irreducible(M)
+    assert data.s_abs == pytest.approx(float(np.max(eigs.real)), abs=tol)
+    assert data.rho == pytest.approx(float(np.max(np.abs(eigs))), abs=tol)
+    if data.irreducible:
+        w, pi = data.w_right, data.pi_left
+        assert np.min(w) >= 0.0 and np.min(pi) >= 0.0
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert float(pi @ w) == pytest.approx(1.0, abs=1e-9)
+        assert np.max(np.abs(M @ w - data.s_abs * w)) <= 1e-9 * scale
+        assert np.max(np.abs(pi @ M - data.s_abs * pi)) <= 1e-9 * scale * np.max(pi)
 
 
 def test_m_inverse_is_nonnegative_and_exact():
