@@ -4,17 +4,16 @@ The disease-free equilibrium is S0 = (-A_S)^{-1} Lambda. Above threshold
 (reproduction number R0 > 1) endemic equilibria are located two ways:
 
 * rank-one transmission: the infection profile lies on an explicit ray and
-  its amplitude k solves a scalar equation H(k) = 1, with H strictly
-  decreasing from H(0) = R0, so the root is unique and bracketable;
+  its amplitude k solves H(k) = R . (k Diag(a) - A_S)^{-1} (Lambda + k c) = 1
+  (a = R or alpha_m; c = 0, or C D_w with recovery feedback, when the law
+  can have several roots). Its roots are exactly the positive real
+  eigenvalues of k (Diag(a) - c R^T) x = (A_S + Lambda R^T) x, found by one
+  dense m x m eigenvalue solve with no grid and no bracketing;
 * general transmission: the force of infection u = B I in R^m solves the
   closed m-dimensional system u = G (S(u) * u), S(u) = (Diag(u) - A_S)^{-1}
   Lambda, G = B (-A)^{-1} P, by Newton's method with an analytic Jacobian,
   seeded on the Perron ray of the loop form G Diag(S0); the threshold
   condition rho(K~(S)) = 1 is verified at the result.
-
-With recovery feedback C != 0 (shared-routing models) the scalar law gains a
-feedback term, H_C(k), which can cross one several times; feedback_analysis
-scans for all roots and flags saddle-node and backward-bifurcation evidence.
 
 The determinant identity det J_EE = -det J_DFE = mu_S det(A) (1 - R0) is
 checked for single-susceptible-class rank-one models.
@@ -26,7 +25,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
+# Not called here: the benchmark's span tracer wraps this module attribute
+# (bench/spans.py, target "equilibrium.brentq") and fails if it is missing.
+from scipy.optimize import brentq  # noqa: F401
 
 from . import ngm, spectral
 from .errors import (BelowThreshold, IdentityViolation, NoBracket,
@@ -40,10 +41,9 @@ SPECTRAL_RADIUS_TOL = 1e-8
 MAX_DOUBLINGS = 60
 MAX_HALVINGS = 60
 EXTRA_DOUBLINGS = 4
-SCAN_GRID_POINTS = 2000
 SCAN_K_MIN = 1e-8
-BISECT_XTOL = 1e-12
-DOUBLE_ROOT_VALUE_TOL = 1e-8
+ROOT_REL_TOL = 1e-6
+INFINITE_ROOT_TOL = 1e-12
 DOUBLE_ROOT_DERIV_TOL = 1e-6
 SEED_REL_TOL = 1e-6
 NEWTON_TOL = 1e-12
@@ -167,14 +167,53 @@ def _threshold_report(S0, R0, solver, note) -> EquilibriumReport:
     return rep
 
 
-def _bracket_doubling(H: Callable[[float], float], limit_hint: str):
-    """Smallest k = 2^j with H(k) < 1, by doubling from 1."""
-    k = 1.0
-    for _ in range(MAX_DOUBLINGS):
-        if H(k) < 1.0:
-            return k
-        k *= 2.0
-    raise NoBracket(f"H stayed >= 1 out to k = {k:.3e}; {limit_hint}")
+def _amplitude_roots(A_S: np.ndarray, Lambda: np.ndarray, R: np.ndarray,
+                     a: np.ndarray, c: np.ndarray) -> tuple[list[float], bool]:
+    """Positive roots of H(k) = R . (k Diag(a) - A_S)^{-1} (Lambda + k c) = 1.
+
+    After classes with a_i = 0 (so R_i = 0) are eliminated by a Schur
+    complement of A_S, they are the eigenvalues of
+    k (Diag(a) - c R^T) x = (A_S + Lambda R^T) x (x scaled to R . x = 1),
+    multiplicities included (matrix determinant lemma). The left side is
+    singular when H(infinity) = 1, the right when H(0) = R0 = 1; the side
+    with H farther from 1 is inverted, and mu = 1/k ~ 0 there stands for
+    k = infinity. Real positive roots within ROOT_REL_TOL of each other (a
+    split real or a conjugate pair) are one double root at their mean.
+    Returns the sorted roots and whether k = infinity was dropped.
+    """
+    K = a != 0.0
+    J = ~K
+    if J.any():
+        X = np.linalg.solve(A_S[np.ix_(J, J)], np.column_stack(
+            [A_S[np.ix_(J, K)], Lambda[J], c[J]]))
+        A_KJ = A_S[np.ix_(K, J)]
+        A_S = A_S[np.ix_(K, K)] - A_KJ @ X[:, :-2]
+        Lambda = Lambda[K] - A_KJ @ X[:, -2]
+        c = c[K] - A_KJ @ X[:, -1]
+        R, a = R[K], a[K]
+
+    lhs = np.diag(a) - np.outer(c, R)
+    rhs = A_S + np.outer(Lambda, R)
+    H_0 = float(R @ np.linalg.solve(-A_S, Lambda))
+    H_inf = float(np.sum(c * R / a))
+    try:
+        if abs(1.0 - H_inf) >= abs(1.0 - H_0):
+            k, at_infinity = np.linalg.eigvals(np.linalg.solve(lhs, rhs)), False
+        else:
+            mu = np.linalg.eigvals(np.linalg.solve(rhs, lhs))
+            finite = np.abs(mu) > INFINITE_ROOT_TOL * np.max(np.abs(mu))
+            k, at_infinity = 1.0 / mu[finite], not finite.all()
+    except np.linalg.LinAlgError:
+        raise NoConvergence("amplitude law is degenerate: k = 0 and "
+                            "k = infinity both solve it") from None
+    real = np.sort(k.real[(k.real > 0.0) & (np.abs(k.imag) <= ROOT_REL_TOL * np.abs(k))])
+    roots: list[float] = []
+    for r in real:
+        if roots and r - roots[-1] <= ROOT_REL_TOL * r:
+            roots[-1] = 0.5 * (roots[-1] + float(r))
+        else:
+            roots.append(float(r))
+    return roots, at_infinity
 
 
 def endemic_rank_one(model: BilinearModel, rank: RankClass) -> EquilibriumReport:
@@ -182,9 +221,11 @@ def endemic_rank_one(model: BilinearModel, rank: RankClass) -> EquilibriumReport
 
     The amplitude k solves H(k) = R . (k Diag(a) - A_S)^{-1} Lambda = 1 with
     a = R (shared routing) or a = alpha_m (rank-one B); H decreases strictly
-    from H(0) = R0 to 0, so for R0 > 1 the root is unique. The equilibrium is
-    reconstructed from k in closed form and its full vector-field residual is
-    verified. Below threshold the report carries no endemic point.
+    from H(0) = R0 to 0, so for R0 > 1 there is exactly one root, taken from
+    the eigenvalue solve of _amplitude_roots (NoConvergence if it does not
+    return exactly one). The equilibrium is reconstructed from k in closed
+    form and its full vector-field residual is verified. Below threshold the
+    report carries no endemic point.
     """
     _require_no_feedback(model, "endemic_rank_one")
     if rank.tag is RankTag.GENERAL:
@@ -200,11 +241,11 @@ def endemic_rank_one(model: BilinearModel, rank: RankClass) -> EquilibriumReport
     shared_routing = rank.alpha_n is not None
     a = R if shared_routing else rank.alpha_m
 
-    def H(k: float) -> float:
-        return float(R @ np.linalg.solve(k * np.diag(a) - model.A_S, model.Lambda))
-
-    k_hi = _bracket_doubling(H, "model admits no finite endemic amplitude")
-    k_star = brentq(lambda k: H(k) - 1.0, 0.0, k_hi, xtol=BISECT_XTOL, rtol=1e-15)
+    roots, _ = _amplitude_roots(model.A_S, model.Lambda, R, a, np.zeros(model.m))
+    if len(roots) != 1:
+        raise NoConvergence(f"amplitude law with R0 = {R0:.12g} > 1 has roots "
+                            f"{roots}, expected exactly one")
+    (k_star,) = roots
 
     S_bar = np.linalg.solve(k_star * np.diag(a) - model.A_S, model.Lambda)
     if shared_routing:
@@ -227,32 +268,6 @@ def endemic_rank_one(model: BilinearModel, rank: RankClass) -> EquilibriumReport
     return rep
 
 
-def _newton_polish(model: BilinearModel, S: np.ndarray, I: np.ndarray,
-                   iters: int = 30) -> tuple[np.ndarray, np.ndarray]:
-    """A few damped Newton steps on the full equilibrium system."""
-    x = np.concatenate([S, I])
-    m = model.m
-    for _ in range(iters):
-        r = model.rhs(x)
-        if np.max(np.abs(r)) < 1e-13 * (1.0 + np.max(np.abs(x))):
-            break
-        J = jacobian(model, StateVector(x[:m], x[m:]))
-        try:
-            step = np.linalg.solve(J, r)
-        except np.linalg.LinAlgError:
-            break
-        t = 1.0
-        for _ in range(40):
-            xn = x - t * step
-            if np.all(xn > 0) and np.max(np.abs(model.rhs(xn))) < np.max(np.abs(r)):
-                break
-            t *= 0.5
-        else:
-            break
-        x = x - t * step
-    return x[:m], x[m:]
-
-
 def endemic_spectral(model: BilinearModel) -> EquilibriumReport:
     """Endemic equilibrium of a feedback-free model of any transmission rank.
 
@@ -269,9 +284,9 @@ def endemic_spectral(model: BilinearModel) -> EquilibriumReport:
     condition pi . G Diag(S(t v)) v = pi . v (pi, v the left and right
     Perron vectors); its left side decreases in t because S(u) decreases
     entrywise in u. For irreducible G the endemic point is unique
-    (Lajmanovich & Yorke 1976), so one root is all there is. A few Newton
-    steps on the full system then tighten the residual, and the threshold
-    condition rho(K~(S_bar)) = 1 is verified.
+    (Lajmanovich & Yorke 1976), so one root is all there is. The threshold
+    condition rho(K~(S_bar)) = 1 and the full vector-field residual are
+    verified at the result.
 
     Requires C = 0 and an irreducible circulation matrix G.
     """
@@ -330,8 +345,7 @@ def endemic_spectral(model: BilinearModel) -> EquilibriumReport:
             raise NoConvergence("Newton step on u = B I cannot keep u positive")
         u = u - step
 
-    I_bar = spectral.m_inverse(model.A) @ (model.P @ (S * u))
-    S_bar, I_bar = _newton_polish(model, S, I_bar)
+    S_bar, I_bar = S, spectral.m_inverse(model.A) @ (model.P @ (S * u))
 
     rho_at = spectral.perron(ngm.loop_ngm(model, S_bar, gain=G)).rho
     if abs(rho_at - 1.0) > SPECTRAL_RADIUS_TOL:
@@ -406,8 +420,7 @@ def determinant_law(model: BilinearModel, rank: RankClass,
                           holds=holds)
 
 
-def feedback_analysis(model: BilinearModel, rank: RankClass,
-                      grid_points: int = SCAN_GRID_POINTS
+def feedback_analysis(model: BilinearModel, rank: RankClass
                       ) -> tuple[ScalarLaw, EquilibriumReport]:
     """All endemic equilibria of a shared-routing model with recovery feedback.
 
@@ -417,10 +430,12 @@ def feedback_analysis(model: BilinearModel, rank: RankClass,
 
         H_C(k) = R . (k Diag(R) - A_S)^{-1} (Lambda + k C D_w) = 1,
 
-    no longer monotone in k, so crossings are located by a sign scan over a
-    log-spaced grid (bisection-refined) plus a tangency sniff for double
-    roots. Multiple roots with R0 < 1 are the signature of a backward
-    bifurcation. A sufficient condition for uniqueness,
+    no longer monotone in k; all its positive roots come from one eigenvalue
+    solve (_amplitude_roots), and a root with |k H_C'(k)| within
+    DOUBLE_ROOT_DERIV_TOL is flagged as a saddle-node. Multiple roots with
+    R0 < 1 are the signature of a backward bifurcation. Roots whose point
+    has a negative entry or a residual above RESIDUAL_TOL (relative) are
+    skipped with a note. A sufficient condition for uniqueness,
     max(C D_w) < min(mu_S) / max(R), is evaluated and reported.
     """
     if rank.alpha_n is None:
@@ -441,8 +456,8 @@ def feedback_analysis(model: BilinearModel, rank: RankClass,
         inner = M @ (model.Lambda + k * CD)
         return float(R @ (-M @ (DR @ inner) + M @ CD))
 
-    # Doubling policy for the grid ceiling, with a safety margin of extra
-    # doublings because H_C may dip below one and return.
+    # The reported range of the law: the first doubling where H_C < 1, with
+    # a margin of extra doublings because H_C may dip below one and return.
     k_max = 1.0
     doublings = 0
     while H(k_max) >= 1.0 and doublings < MAX_DOUBLINGS:
@@ -452,56 +467,39 @@ def feedback_analysis(model: BilinearModel, rank: RankClass,
     if not exhausted:
         k_max *= 2.0 ** EXTRA_DOUBLINGS
 
-    grid = np.geomspace(SCAN_K_MIN, k_max, grid_points)
-    vals = np.array([H(k) - 1.0 for k in grid])
-
-    roots: list[float] = []
-    flags: list[bool] = []
-    for i in range(grid_points - 1):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(float(a)); flags.append(False)
-        elif fa * fb < 0.0:
-            r = brentq(lambda k: H(k) - 1.0, a, b, xtol=BISECT_XTOL, rtol=1e-15)
-            roots.append(float(r)); flags.append(False)
-        elif (abs(fa) < DOUBLE_ROOT_VALUE_TOL
-              and abs(H_prime(a)) < DOUBLE_ROOT_DERIV_TOL):
-            roots.append(float(a)); flags.append(True)
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1])); flags.append(False)
-
-    # Merge near-duplicates from adjacent intervals.
-    merged: list[float] = []
-    merged_flags: list[bool] = []
-    for r, fl in sorted(zip(roots, flags)):
-        if merged and abs(r - merged[-1]) <= 1e-9 * max(1.0, merged[-1]):
-            merged_flags[-1] = merged_flags[-1] or fl
-            continue
-        merged.append(r)
-        merged_flags.append(fl)
+    roots, at_infinity = _amplitude_roots(model.A_S, model.Lambda, R, R, CD)
+    roots = [r for r in roots if r > SCAN_K_MIN]  # also drops k = 0 at R0 = 1
+    derivs = [H_prime(r) for r in roots]
+    flags = [abs(r * d) <= DOUBLE_ROOT_DERIV_TOL for r, d in zip(roots, derivs)]
 
     mu = -np.diag(model.A_S)
     unique_ok = bool(np.max(CD) < np.min(mu) / np.max(R)) if np.max(R) > 0 else True
 
     law = ScalarLaw(kind="feedback_amplitude", R0=R0, H=H, H_prime=H_prime,
-                    roots=merged, deriv_at_roots=[H_prime(r) for r in merged],
-                    saddle_flags=merged_flags, k_max=float(k_max),
+                    roots=roots, deriv_at_roots=derivs,
+                    saddle_flags=flags, k_max=float(k_max),
                     exhausted=exhausted, uniqueness_condition=unique_ok,
-                    backward_bifurcation=bool(R0 < 1.0 and merged))
+                    backward_bifurcation=bool(R0 < 1.0 and roots))
 
     rep = EquilibriumReport(S0=S0, R0=R0, solver="feedback")
     if exhausted:
-        rep.notes.append(
-            "grid ceiling exhausted: H_C stayed >= 1, roots beyond k_max not found"
-        )
-    for r, fl in zip(merged, merged_flags):
+        rep.notes.append("H_C stayed >= 1 out to k_max; the eigenvalue solve "
+                         "still finds roots beyond it")
+    if at_infinity:
+        rep.notes.append("H_C -> 1 as k -> infinity (no net removal from I, "
+                         "as when 1^T C D_w = 1); finite roots only")
+    for r, fl in zip(roots, flags):
         I_bar = r * D_w
         S_bar = np.linalg.solve(r * DR - model.A_S, model.Lambda + model.C @ I_bar)
         if np.any(S_bar < 0) or np.any(I_bar < 0):
             rep.notes.append(f"root k={r:.6g} produced a sign-violating point; skipped")
             continue
         res = residual_inf(model, S_bar, I_bar)
+        scale = 1.0 + float(np.max(np.abs(np.concatenate([S_bar, I_bar]))))
+        if not res <= RESIDUAL_TOL * scale:
+            rep.notes.append(f"root k={r:.6g} produced a point with residual "
+                             f"{res:.3e}; skipped")
+            continue
         rep.endemic_points.append(
             EndemicPoint(S_bar=S_bar, I_bar=I_bar, k=float(r),
                          residual=res, saddle_node=fl)

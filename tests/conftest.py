@@ -14,7 +14,7 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.optimize import root as scipy_root
+from scipy.optimize import brentq, root as scipy_root
 
 from bbepi import BilinearModel, reproduction_number
 
@@ -161,3 +161,30 @@ def oracle_root_count(H_vals: np.ndarray) -> int:
     signs = np.sign(H_vals)
     signs = signs[signs != 0]
     return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
+
+
+def oracle_feedback_roots(model: BilinearModel, k_hi: float) -> list[float]:
+    """Roots of the shared-routing feedback law by a dense sign scan.
+
+    H_C(k) = R . (k Diag(R) - A_S)^{-1} (Lambda + k C D_w) is rebuilt from
+    the model matrices (R = B (-A)^{-1} alpha, D_w = (-A)^{-1} alpha with
+    alpha the first routing column), sampled at 20001 log-spaced points of
+    [1e-8, k_hi] by batched solves, and every strict sign change of H_C - 1
+    is refined by brentq.
+    """
+    D_w = np.linalg.solve(-model.A, model.P[:, 0])
+    R, c = model.B @ D_w, model.C @ D_w
+
+    def H(k):
+        k = np.atleast_1d(np.asarray(k, dtype=float))
+        M = k[:, None, None] * np.diag(R)[None] - model.A_S[None]
+        rhs = model.Lambda[None, :] + k[:, None] * c[None, :]
+        return np.linalg.solve(M, rhs[..., None])[..., 0] @ R
+
+    ks = np.geomspace(1e-8, k_hi, 20001)
+    vals = H(ks) - 1.0
+    keep = vals != 0.0
+    ks, vals = ks[keep], vals[keep]
+    idx = np.flatnonzero(vals[1:] * vals[:-1] < 0)
+    return [brentq(lambda k: float(H(k)[0]) - 1.0, ks[i], ks[i + 1],
+                   xtol=1e-14, rtol=1e-13) for i in idx]

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import bbepi as bb
 from bbepi import equilibrium as eq
 from bbepi.ngm import loop_ngm
 from conftest import (diagonal_As, feedback_C, oracle_endemic_points,
-                      oracle_fd_jacobian, oracle_root_count, random_model,
-                      with_r0)
+                      oracle_fd_jacobian, oracle_feedback_roots,
+                      oracle_root_count, random_model, with_r0)
+from test_cli import SIRS_RXN
 
 rng0 = np.random.default_rng
 
@@ -296,3 +300,180 @@ def test_feedback_endemic_points_satisfy_field():
     for p in rep.endemic_points:
         x = np.concatenate([p.S_bar, p.I_bar])
         assert np.max(np.abs(model.rhs(x))) <= 1e-8 * (1.0 + np.max(np.abs(x)))
+
+
+def backward_tangency() -> float:
+    """c2 at which the backward family's law touches one (a double root).
+
+    From the closed form H(k) = sum_i b_i (lambda_i + k c_i) / (k b_i + mu_i):
+    bisect c2 on min_k H(k) = 1, the minimum taken where dH/dk = 0.
+    """
+    b, lam = np.array([0.05, 5.0]), np.array([16.0, 0.02])
+
+    def H(k, c2):
+        return float(np.sum(b * (lam + k * np.array([0.0, c2])) / (k * b + 1.0)))
+
+    def H_k(k, c2):
+        c = np.array([0.0, c2])
+        return float(np.sum(b * (c * (k * b + 1.0) - b * (lam + k * c))
+                            / (k * b + 1.0) ** 2))
+
+    def gap(c2):
+        return H(brentq(lambda k: H_k(k, c2), 1e-3, 1e3, xtol=1e-15), c2) - 1.0
+
+    return brentq(gap, 0.2, 0.3, xtol=1e-16, rtol=1e-15)
+
+
+def test_feedback_double_root_at_tangency():
+    c2_star = backward_tangency()
+    assert c2_star == pytest.approx(0.26328499, abs=1e-8)
+    counts = {}
+    for factor in (0.999999, 1.0, 1.000001):
+        model = backward_model(c2_star * factor)
+        law, rep = bb.feedback_analysis(model, bb.classify_rank(model))
+        counts[factor] = len(law.roots)
+        if factor == 1.0:
+            (k,) = law.roots
+            assert law.saddle_flags == [True]
+            assert abs(k * law.H_prime(k)) <= eq.DOUBLE_ROOT_DERIV_TOL
+            assert law.H(k) == pytest.approx(1.0, abs=1e-12)
+            (p,) = rep.endemic_points
+            assert p.saddle_node
+        for k in law.roots:
+            assert law.H(k) == pytest.approx(1.0, abs=1e-9)
+    assert counts == {0.999999: 0, 1.0: 1, 1.000001: 2}
+
+
+SIS_NO_DEATH = dict(A=[[-1.0]], A_S=[[-0.1]], B=[[3.0]], P=[[1.0]],
+                    Lambda=[0.1], C=[[1.0]])
+
+
+def test_feedback_no_removal_law_has_no_root():
+    # Every infected returns to S, so H_C(k) = 3 (0.1 + k) / (3 k + 0.1) > 1
+    # for all k and tends to 1: no endemic amplitude, and k = infinity is a
+    # root of the eigenvalue form.
+    model = bb.BilinearModel(**SIS_NO_DEATH)
+    law, rep = bb.feedback_analysis(model, bb.classify_rank(model))
+    assert law.roots == [] and not rep.endemic_points
+    assert law.exhausted
+    assert any("k -> infinity" in note for note in rep.notes)
+
+
+@pytest.mark.parametrize("C, root", [([[0.1], [0.9]], 5.0 / 173.0),
+                                     ([[0.5], [0.5]], 5.0 / 74.0)])
+def test_feedback_no_removal_finite_root(C, root):
+    # 1^T C D_w = 1 with two classes: one finite root besides k = infinity.
+    model = bb.BilinearModel(A=[[-1.0]], A_S=-np.eye(2), B=[[0.05], [5.0]],
+                             P=[[1.0, 1.0]], Lambda=[16.0, 0.02], C=C)
+    law, rep = bb.feedback_analysis(model, bb.classify_rank(model))
+    assert law.roots == [pytest.approx(root, rel=1e-12)]
+    (p,) = rep.endemic_points
+    assert p.residual <= 1e-12
+    assert any("k -> infinity" in note for note in rep.notes)
+
+
+def test_feedback_law_degenerate_at_both_ends_raises():
+    # R0 = 1 and no removal: H_C(k) = (0.1 + k) / (k + 0.1) is identically 1.
+    model = bb.BilinearModel(**{**SIS_NO_DEATH, "B": [[1.0]]})
+    with pytest.raises(bb.NoConvergence, match="degenerate"):
+        bb.feedback_analysis(model, bb.classify_rank(model))
+
+
+def test_feedback_law_without_infectivity_has_no_root():
+    # B acts only on compartment 2, which no infection reaches: R = 0, so
+    # every class is eliminated and H_C is identically 0.
+    model = bb.BilinearModel(A=-np.eye(2), A_S=[[-1.0]], B=[[0.0, 2.0]],
+                             P=[[1.0], [0.0]], Lambda=[1.0], C=[[0.5, 0.0]])
+    rank = bb.classify_rank(model)
+    assert not np.any(bb.replacement_vector(model, rank))
+    law, rep = bb.feedback_analysis(model, rank)
+    assert law.roots == [] and not rep.endemic_points
+
+
+def test_feedback_skips_root_whose_point_misses_the_field(monkeypatch):
+    model = backward_model(0.9)
+    rank = bb.classify_rank(model)
+    law, _ = bb.feedback_analysis(model, rank)
+    fake = law.roots[0] * 1.1
+    monkeypatch.setattr(eq, "_amplitude_roots", lambda *args: ([fake], False))
+    law, rep = bb.feedback_analysis(model, rank)
+    assert law.roots == [fake]
+    assert not rep.endemic_points
+    assert any("residual" in note and "skipped" in note for note in rep.notes)
+
+
+@pytest.mark.parametrize("beta", [2.5, 3.0, 4.85, 8.0])
+def test_feedback_sirs_network_matches_dense_scan(beta):
+    # The reaction fixture has R = (beta / 2.5, 0): class r is never
+    # infected and is eliminated before the eigenvalue solve.
+    text = SIRS_RXN.replace("s + i -> 2 i : 2.5", f"s + i -> 2 i : {beta!r}")
+    model, _ = bb.network_to_bilinear(bb.parse_reactions(text))
+    rank = bb.classify_rank(model)
+    assert bb.replacement_vector(model, rank)[1] == 0.0
+    law, rep = bb.feedback_analysis(model, rank)
+    # Roots may lie beyond k_max, the law's reported range, so the scan
+    # reaches six decades further.
+    oracle = oracle_feedback_roots(model, 1e6 * law.k_max)
+    assert law.roots == pytest.approx(oracle, rel=1e-9)
+    assert len(rep.endemic_points) == len(oracle)
+
+
+def test_rank_one_zero_infectivity_class_matches_scalar_law():
+    rng = rng0(46)
+    for _ in range(10):
+        base = random_model(rng, 3, 2, "caseb")
+        alpha_m = np.array([0.6, 0.0, 0.4])
+        model = with_r0(bb.BilinearModel(
+            A=base.A, A_S=base.A_S, B=np.outer(alpha_m, base.B[0]),
+            P=base.P, Lambda=base.Lambda), float(rng.uniform(1.2, 3.0)))
+        rank = bb.classify_rank(model)
+        R = bb.replacement_vector(model, rank)
+        assert R[1] == 0.0
+        (p,) = bb.endemic_rank_one(model, rank).endemic_points
+
+        def H(k):
+            return float(R @ np.linalg.solve(k * np.diag(rank.alpha_m) - model.A_S,
+                                             model.Lambda))
+
+        assert p.k == pytest.approx(brentq(lambda k: H(k) - 1.0, 1e-12, 1e6,
+                                           xtol=1e-15, rtol=1e-14), rel=1e-10)
+        assert p.residual <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+# Roots 7.69 and 22.26 with k_max = 16: the second lies beyond the ceiling.
+@example(seed=0, m=2, n=1, r0=0.5, strength=0.9375, contrast=1.0,
+         silent_class=False)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4), n=st.integers(1, 3),
+       r0=st.floats(0.5, 2.0), strength=st.floats(0.0, 0.95),
+       contrast=st.floats(0.0, 3.0), silent_class=st.booleans())
+def test_feedback_roots_match_dense_sign_scan(seed, m, n, r0, strength,
+                                              contrast, silent_class):
+    # Shaped like backward_model: class 1 is a reservoir (large inflow, weak
+    # transmission, almost no recycled mass), the others a core with strong
+    # transmission, little inflow and most of the recycling, which gives two
+    # roots below threshold in a part of the draws.
+    rng = rng0(seed)
+    base = diagonal_As(random_model(rng, m, n, "casep"), rng)
+    scale = np.full(m, 10.0 ** (contrast / 2.0))
+    scale[0] = 1.0 / scale[0]
+    inflow_cut = np.concatenate([[1.0], 10.0 ** rng.uniform(0.0, 2.0, size=m - 1)])
+    B = base.B * scale[:, None]
+    if silent_class and m > 1:
+        B[1] = 0.0  # class 2 is never infected: R_2 = 0
+    base = with_r0(bb.BilinearModel(A=base.A, A_S=base.A_S, B=B, P=base.P,
+                                    Lambda=base.Lambda / scale / inflow_cut), r0)
+    C = rng.uniform(0.1, 1.0, size=(m, n))
+    C[0] *= 1e-3
+    C *= strength * -base.A.sum(axis=0) / C.sum(axis=0)  # 1^T C D_w = strength
+    model = bb.BilinearModel(A=base.A, A_S=base.A_S, B=base.B, P=base.P,
+                             Lambda=base.Lambda, C=C)
+    law, rep = bb.feedback_analysis(model, bb.classify_rank(model))
+    # The sign scan cannot resolve roots closer than its grid spacing, so
+    # near-tangent laws are left to the tangency test above.
+    assume(all(abs(k * d) > 1e-3 for k, d in zip(law.roots, law.deriv_at_roots)))
+    # Roots may lie beyond k_max, the law's reported range, so the scan
+    # reaches six decades further.
+    oracle = oracle_feedback_roots(model, 1e6 * law.k_max)
+    assert law.roots == pytest.approx(oracle, rel=1e-9)
+    assert len(rep.endemic_points) == len(oracle)
