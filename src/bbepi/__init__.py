@@ -19,7 +19,7 @@ deterministic CLI (`bbepi`) binding it all together.
 """
 
 from .errors import (AnalysisError, BelowThreshold, DegenerateB,
-                     DimensionMismatch, IdentityViolation, MissingState,
+                     DimensionMismatch, IdentityViolation, InvalidModel,
                      NegativeRate, NoBracket, NoConvergence, NonDiagonalAS,
                      NonPositiveState, NotApplicable, NotBalancedBilinear,
                      NotCaseP, NotEquilibrium, NotInvariantFace,

@@ -15,11 +15,13 @@ simulate  integrate one trajectory; writes trajectory.csv.
 
 Inputs are either a matrix-bundle JSON file (extension .model or .json) or
 a reaction text file (.rxn); --input-format overrides the extension guess.
-Exit codes: 0 success (and true verdicts), 1 certificate verdict false,
-2 validation/parse failure, 3 solver non-convergence, integration failure
-or a failed numerical identity, 4 certificate hypothesis violation. All
-outputs are deterministic for a fixed input and seed: floats are written
-via repr and no timestamps appear.
+Exit codes: 0 success (and true verdicts), 1 certificate verdict false, and
+otherwise the ``exit_code`` of the AnalysisError that ended the run (see
+bbepi.errors): 2 parse, shape or validation failure (bad flags and
+unreadable files too), 3 solver non-convergence, integration failure or a
+failed numerical identity, 4 model outside a method's hypotheses. Only main
+turns an error into an exit code. All outputs are deterministic for a fixed
+input and seed: floats are written via repr and no timestamps appear.
 """
 
 from __future__ import annotations
@@ -35,18 +37,15 @@ import numpy as np
 from . import crn, ngm, sim
 from . import equilibrium as eq
 from . import lyapunov as lyap
-from .errors import (AnalysisError, BelowThreshold, DegenerateB,
-                     IdentityViolation, NoBracket, NoConvergence, NotApplicable,
-                     NotBalancedBilinear, NotRankOne, ParseError,
-                     PositivityViolation, StepUnderflow, TooManySpecies)
+from .errors import (AnalysisError, BelowThreshold, InvalidModel,
+                     NotApplicable, NotRankOne, ParseError,
+                     PositivityViolation, StepUnderflow)
 from .model import (BilinearModel, RankTag, classify_rank, load_model,
                     validate_accessibility, validate_model)
 
 EXIT_OK = 0
 EXIT_VERDICT_FALSE = 1
 EXIT_VALIDATION = 2
-EXIT_SOLVER = 3
-EXIT_HYPOTHESIS = 4
 
 _ENTRY_RE = re.compile(r"^([A-Za-z_]+)\[(\d+)(?:\s*,\s*(\d+))?\]$")
 
@@ -70,41 +69,39 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write(out_dir: Path, name: str, text: str) -> Path:
+def _write(out_dir: Path, name: str, text: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(text, encoding="utf-8")
-    return path
+    (out_dir / name).write_text(text, encoding="utf-8")
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+def _input_format(args) -> str:
+    return args.input_format or ("rxn" if args.input.endswith(".rxn") else "model")
 
 
-def _input_format(path: str, override: str | None) -> str:
-    if override:
-        return override
-    return "rxn" if path.endswith(".rxn") else "model"
-
-
-def _load_any(path: str, fmt: str, i_species: str | None):
-    """Load a model from either input format.
+def _load_any(args):
+    """Load the model in args.input, in either input format.
 
     Returns (model, state_names, split_dict) where state_names follow the
     model's stacked (S, I) coordinate order and split_dict is None for
     matrix-bundle inputs.
     """
-    if fmt == "rxn":
-        net = crn.load_reactions(path)
-        override = tuple(i_species.split(",")) if i_species else None
+    if _input_format(args) == "rxn":
+        net = crn.load_reactions(args.input)
+        override = tuple(args.i_species.split(",")) if args.i_species else None
         model, split = crn.network_to_bilinear(net, i_species=override)
         names = list(split.s_species) + list(split.i_species)
         return model, names, split.to_dict()
-    model = load_model(path)
+    model = load_model(args.input)
     names = [f"S{i + 1}" for i in range(model.m)] + \
             [f"I{j + 1}" for j in range(model.n)]
     return model, names, None
+
+
+def _require_valid(validation, where: str = "validation failed") -> None:
+    """Raise InvalidModel naming the failed checks of a validation report."""
+    if not validation.passed:
+        raise InvalidModel(f"{where}: " +
+                           "; ".join(c.name for c in validation.failures()))
 
 
 def _solve_endemic(model: BilinearModel, rank) -> tuple:
@@ -132,14 +129,7 @@ def _solve_endemic(model: BilinearModel, rank) -> tuple:
 
 def cmd_analyze(args) -> int:
     out_dir = Path(args.out)
-    try:
-        model, names, split = _load_any(
-            args.input, _input_format(args.input, args.input_format),
-            args.i_species)
-    except (ParseError, NotBalancedBilinear, AnalysisError) as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
-    except OSError as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
+    model, names, split = _load_any(args)
 
     validation = validate_model(model, hurwitz_tol=args.tol_hurwitz,
                                 colsum_tol=args.tol_colsum)
@@ -160,18 +150,12 @@ def cmd_analyze(args) -> int:
         lines.append(f"susceptible species: {' '.join(split['s_species'])}")
         lines.append(f"infection species: {' '.join(split['i_species'])}")
     if not validation.passed:
-        lines.append("")
-        lines.append("validation failed; analysis not attempted")
+        lines += ["", "validation failed; analysis not attempted"]
         _write(out_dir, "analysis.txt", "\n".join(lines) + "\n")
         _write(out_dir, "analysis.json", _json_text(doc))
-        return _fail(EXIT_VALIDATION,
-                     "validation failed: " +
-                     "; ".join(c.name for c in validation.failures()))
+    _require_valid(validation)
 
-    try:
-        rank = classify_rank(model)
-    except DegenerateB as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
+    rank = classify_rank(model)
     lines += ["", "[structure]", f"m: {model.m}", f"n: {model.n}",
               f"rank class: {rank.tag.value}"]
     doc["structure"] = {"m": model.m, "n": model.n, "rank": rank.to_dict()}
@@ -195,10 +179,7 @@ def cmd_analyze(args) -> int:
             lines.append(f"dwell times: {_fmt_vec(D_w)}")
             doc["dwell_times"] = D_w.tolist()
 
-    try:
-        law, report = _solve_endemic(model, rank)
-    except (NoConvergence, NoBracket, IdentityViolation) as exc:
-        return _fail(EXIT_SOLVER, str(exc))
+    law, report = _solve_endemic(model, rank)
     lines += ["", "[equilibria]", f"R0: {_fmt(report.R0)}",
               f"S0: {_fmt_vec(report.S0)}",
               f"above threshold: {str(report.R0 > 1.0).lower()}",
@@ -245,27 +226,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_lyapunov(args) -> int:
     out_dir = Path(args.out)
-    try:
-        model, _, _ = _load_any(
-            args.input, _input_format(args.input, args.input_format),
-            args.i_species)
-    except (ParseError, NotBalancedBilinear, AnalysisError, OSError) as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
-    validation = validate_model(model)
-    if not validation.passed:
-        return _fail(EXIT_VALIDATION,
-                     "validation failed: " +
-                     "; ".join(c.name for c in validation.failures()))
+    model, _, _ = _load_any(args)
+    _require_valid(validate_model(model))
     config = lyap.SamplingConfig(
         n_trajectories=args.trajectories, horizon=args.horizon,
         step=args.step, seed=args.seed)
-    try:
-        cert = lyap.verify_decrease(model, args.kind, config)
-    except (NotApplicable, NotRankOne, BelowThreshold) as exc:
-        return _fail(EXIT_HYPOTHESIS, f"certificate hypothesis violated: {exc}")
-    except (NoConvergence, NoBracket, PositivityViolation, StepUnderflow,
-            IdentityViolation) as exc:
-        return _fail(EXIT_SOLVER, str(exc))
+    cert = lyap.verify_decrease(model, args.kind, config)
     _write(out_dir, "certificate.json", _json_text(cert.to_dict()))
     _write(out_dir, "certificate.csv", cert.trace_csv(0))
     _write(out_dir, "certificate_all.csv", cert.all_traces_csv())
@@ -301,41 +267,26 @@ def _set_entry(model: BilinearModel, name: str, i: int, j: int | None,
 
 def cmd_scan(args) -> int:
     out_dir = Path(args.out)
-    try:
-        model, _, _ = _load_any(
-            args.input, _input_format(args.input, args.input_format),
-            args.i_species)
-    except (ParseError, NotBalancedBilinear, AnalysisError, OSError) as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
+    model, _, _ = _load_any(args)
     m = _ENTRY_RE.match(args.entry)
     if not m:
-        return _fail(EXIT_VALIDATION,
-                     f"--entry must look like B[0,1] or Lambda[0], got {args.entry!r}")
+        raise ParseError(
+            f"--entry must look like B[0,1] or Lambda[0], got {args.entry!r}")
     name, i, j = m.group(1), int(m.group(2)), \
         (int(m.group(3)) if m.group(3) is not None else None)
     try:
         lo_s, hi_s, num_s = args.grid.split(":")
         grid = np.linspace(float(lo_s), float(hi_s), int(num_s))
     except ValueError:
-        return _fail(EXIT_VALIDATION,
-                     f"--grid must be lo:hi:num, got {args.grid!r}")
+        raise ParseError(f"--grid must be lo:hi:num, got {args.grid!r}")
 
     rows = []
     max_roots = 0
     for value in grid:
-        try:
-            point = _set_entry(model, name, i, j, float(value))
-            validation = validate_model(point)
-            if not validation.passed:
-                return _fail(EXIT_VALIDATION,
-                             f"model invalid at {args.entry}={value!r}: " +
-                             "; ".join(c.name for c in validation.failures()))
-            rank = classify_rank(point)
-            law, _ = eq.feedback_analysis(point, rank)
-        except NotApplicable as exc:
-            return _fail(EXIT_HYPOTHESIS, f"scan hypothesis violated: {exc}")
-        except (NoConvergence, NoBracket) as exc:
-            return _fail(EXIT_SOLVER, str(exc))
+        point = _set_entry(model, name, i, j, float(value))
+        _require_valid(validate_model(point),
+                       f"model invalid at {args.entry}={_fmt(value)}")
+        law, _ = eq.feedback_analysis(point, classify_rank(point))
         rows.append((float(value), law.R0, law.roots, law.saddle_flags,
                      law.backward_bifurcation))
         max_roots = max(max_roots, len(law.roots))
@@ -376,11 +327,8 @@ def _face_equilibrium(net: crn.ReactionNetwork, sigma, horizon: float):
 
 def cmd_siphons(args) -> int:
     out_dir = Path(args.out)
-    try:
-        net = crn.load_reactions(args.input)
-        minimal = crn.minimal_siphons(net)
-    except (ParseError, TooManySpecies, OSError) as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
+    net = crn.load_reactions(args.input)
+    minimal = crn.minimal_siphons(net)
     total = crn.total_siphon(net, minimal)
     closure = crn.dfe_closure(net, total)
 
@@ -409,7 +357,8 @@ def cmd_siphons(args) -> int:
         try:
             x_eq = _face_equilibrium(net, s.indices, args.horizon)
         except (PositivityViolation, StepUnderflow) as exc:
-            return _fail(EXIT_SOLVER, f"settling the face of {_names(s.indices)}: {exc}")
+            raise type(exc)(
+                f"settling the face of {_names(s.indices)}: {exc}") from exc
         if x_eq is None:
             lines.append(f"  {_names(s.indices)}: no face equilibrium settled")
             doc["face_blocks"].append(
@@ -442,37 +391,43 @@ def cmd_siphons(args) -> int:
 
 def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
-    fmt = _input_format(args.input, args.input_format)
-    try:
-        if fmt == "rxn":
-            net = crn.load_reactions(args.input)
-            rhs, names = net.rhs, list(net.species)
-        else:
-            model = load_model(args.input)
-            rhs = model.rhs
-            names = [f"S{i + 1}" for i in range(model.m)] + \
-                    [f"I{j + 1}" for j in range(model.n)]
-    except (ParseError, AnalysisError, OSError) as exc:
-        return _fail(EXIT_VALIDATION, str(exc))
+    if _input_format(args) == "rxn":
+        net = crn.load_reactions(args.input)
+        rhs, names = net.rhs, list(net.species)
+    else:
+        model, names, _ = _load_any(args)
+        _require_valid(validate_model(model))
+        rhs = model.rhs
     try:
         x0 = np.array([float(v) for v in args.x0.split(",")])
     except ValueError:
-        return _fail(EXIT_VALIDATION, "--x0 must be a comma-separated vector")
+        raise ParseError("--x0 must be a comma-separated vector")
     if x0.size != len(names):
-        return _fail(EXIT_VALIDATION,
-                     f"--x0 has {x0.size} entries; model has {len(names)} states")
+        raise ParseError(
+            f"--x0 has {x0.size} entries; model has {len(names)} states")
+    if not np.all(np.isfinite(x0) & (x0 >= 0.0)):
+        raise ParseError(f"--x0 entries must be finite and nonnegative, "
+                         f"got {_fmt_vec(x0)}")
     cfg = sim.IntegratorConfig(step=args.step, adaptive=args.adaptive,
                                settle_tol=args.settle)
-    try:
-        traj = sim.integrate(rhs, x0, args.horizon, cfg)
-    except (PositivityViolation, StepUnderflow) as exc:
-        return _fail(EXIT_SOLVER, str(exc))
+    traj = sim.integrate(rhs, x0, args.horizon, cfg)
     _write(out_dir, "trajectory.csv", traj.to_csv(names))
     print(f"samples: {traj.times.size}")
     print(f"endpoint: {_fmt_vec(traj.states[-1])}")
     if traj.terminated_early:
         print(f"terminated early: {traj.reason}")
     return EXIT_OK
+
+
+def _positive(cast):
+    """argparse type: a finite value of type cast that is > 0."""
+    def positive(text: str):
+        value = cast(text)
+        if not (np.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and positive, got {text!r}")
+        return value
+    return positive
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -507,9 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--kind", choices=["dfe", "ee"], required=True,
                    help="which certificate to audit")
-    p.add_argument("--trajectories", type=int, default=20)
-    p.add_argument("--horizon", type=float, default=200.0)
-    p.add_argument("--step", type=float, default=0.01)
+    p.add_argument("--trajectories", type=_positive(int), default=20)
+    p.add_argument("--horizon", type=_positive(float), default=200.0)
+    p.add_argument("--step", type=_positive(float), default=0.01)
     p.set_defaults(func=cmd_lyapunov)
 
     p = sub.add_parser("scan", help="sweep one matrix entry, tabulate roots")
@@ -521,17 +476,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("siphons", help="siphon and face structure report")
     _add_common(p)
-    p.add_argument("--horizon", type=float, default=200.0,
+    p.add_argument("--horizon", type=_positive(float), default=200.0,
                    help="settling horizon for face equilibria")
     p.set_defaults(func=cmd_siphons)
 
     p = sub.add_parser("simulate", help="integrate one trajectory to CSV")
     _add_common(p)
     p.add_argument("--x0", required=True, help="initial state, comma separated")
-    p.add_argument("--horizon", type=float, default=100.0)
-    p.add_argument("--step", type=float, default=0.01)
+    p.add_argument("--horizon", type=_positive(float), default=100.0)
+    p.add_argument("--step", type=_positive(float), default=0.01)
     p.add_argument("--adaptive", action="store_true")
-    p.add_argument("--settle", type=float, default=None,
+    p.add_argument("--settle", type=_positive(float), default=None,
                    help="stop early when the field norm falls below this")
     p.set_defaults(func=cmd_simulate)
     return ap
@@ -539,7 +494,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (AnalysisError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code if isinstance(exc, AnalysisError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

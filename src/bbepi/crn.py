@@ -103,6 +103,8 @@ class ReactionNetwork:
         return self.rates(x) @ self.Gamma.T
 
     def index(self, name: str) -> int:
+        if name not in self.species:
+            raise UnknownSpecies(f"species {name!r} not in the network")
         return self.species.index(name)
 
 
@@ -134,7 +136,7 @@ def parse_reactions(text: str) -> ReactionNetwork:
     constant inflow, an empty right side pure outflow. An optional first
     directive `species: a b c` pins the species ordering and makes any other
     name an error; otherwise species are numbered by first appearance.
-    Rates must be positive literals. Mass-action kinetics make the chemical
+    Rates must be positive finite literals. Mass-action kinetics make the chemical
     condition (net consumption implies source membership) hold automatically.
     """
     declared: list[str] | None = None
@@ -166,8 +168,9 @@ def parse_reactions(text: str) -> ReactionNetwork:
             rate = float(rate_txt.strip())
         except ValueError:
             raise ParseError(f"bad rate literal {rate_txt.strip()!r}", line=line_no)
-        if not rate > 0.0:
-            raise NegativeRate(f"rate must be positive, got {rate!r}", line=line_no)
+        if not 0.0 < rate < np.inf:
+            raise NegativeRate(f"rate must be positive and finite, got {rate!r}",
+                               line=line_no)
         lhs = _parse_side(head, line_no)
         rhs = _parse_side(body, line_no)
         if not lhs and not rhs:

@@ -2,6 +2,10 @@
 
 Every error raised by the library derives from :class:`AnalysisError`, so
 callers (including the CLI) can distinguish domain failures from bugs.
+Each class carries ``exit_code``, the CLI exit status of a run it ends:
+2 for malformed or invalid input, 4 for a model outside a method's
+hypotheses, and the base-class 3 for a failed solver, integration or
+numerical identity.
 """
 
 from __future__ import annotations
@@ -10,13 +14,25 @@ from __future__ import annotations
 class AnalysisError(Exception):
     """Base class for all domain errors raised by this package."""
 
+    exit_code = 3
+
+
+class InvalidModel(AnalysisError):
+    """A model failed validate_model's checks."""
+
+    exit_code = 2
+
 
 class DimensionMismatch(AnalysisError):
     """Matrix or vector shapes are inconsistent with the model layout."""
 
+    exit_code = 2
+
 
 class DegenerateB(AnalysisError):
     """The transmission matrix is identically zero; rank structure undefined."""
+
+    exit_code = 2
 
 
 class NoConvergence(AnalysisError):
@@ -34,13 +50,13 @@ class SingularMatrix(AnalysisError):
 class NotRankOne(AnalysisError):
     """An operation requiring rank-one transmission structure got a general model."""
 
-
-class MissingState(AnalysisError):
-    """A required state or equilibrium was not supplied or not found."""
+    exit_code = 4
 
 
 class BelowThreshold(AnalysisError):
     """Requested object only exists above the epidemic threshold."""
+
+    exit_code = 4
 
 
 class NoBracket(AnalysisError):
@@ -49,6 +65,8 @@ class NoBracket(AnalysisError):
 
 class NotApplicable(AnalysisError):
     """The operation's structural preconditions are not met by this model."""
+
+    exit_code = 4
 
 
 class NotCaseP(NotApplicable):
@@ -74,6 +92,8 @@ class NotRegularSplitting(AnalysisError):
 class TooManySpecies(AnalysisError):
     """Exact siphon enumeration refused above its species cap."""
 
+    exit_code = 2
+
 
 class NotInvariantFace(AnalysisError):
     """The coordinate face is not forward invariant for the dynamics."""
@@ -85,6 +105,8 @@ class NotEquilibrium(AnalysisError):
 
 class NotBalancedBilinear(AnalysisError):
     """The reaction network does not reduce to a balanced bilinear model."""
+
+    exit_code = 2
 
 
 class PositivityViolation(AnalysisError):
@@ -104,6 +126,8 @@ class ParseError(AnalysisError):
         One-based line number of the offending input line, when known.
     """
 
+    exit_code = 2
+
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
@@ -112,7 +136,7 @@ class ParseError(AnalysisError):
 
 
 class NegativeRate(ParseError):
-    """A reaction was given a zero or negative rate constant."""
+    """A reaction was given a zero, negative or non-finite rate constant."""
 
 
 class UnknownSpecies(ParseError):

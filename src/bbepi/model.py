@@ -363,7 +363,8 @@ def loads_model(text: str) -> BilinearModel:
 
     Top-level keys (case sensitive): m, n, A, A_S, B, P, Lambda, and
     optionally C. Matrices are row-major nested arrays; numbers are read in
-    double precision. Declared m and n must match every array shape.
+    double precision and must be finite. Declared m and n must match every
+    array shape.
     """
     try:
         doc = json.loads(text)
@@ -388,6 +389,10 @@ def loads_model(text: str) -> BilinearModel:
         )
     except (ValueError, TypeError) as exc:
         raise ParseError(f"malformed numeric array: {exc}") from exc
+    bad = [k for k in _MODEL_KEYS[2:] + ("C",)
+           if not np.isfinite(getattr(model, k)).all()]
+    if bad:
+        raise ParseError(f"non-finite entries (NaN or Infinity) in {', '.join(bad)}")
     if model.m != m or model.n != n:
         raise DimensionMismatch(
             f"declared (m, n) = ({m}, {n}) but arrays imply ({model.m}, {model.n})"

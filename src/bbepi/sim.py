@@ -7,8 +7,9 @@ loop and integrate runs a single start as a batch of one. An embedded
 Cash-Karp 5(4) pair is available when adaptive stepping is wanted. Both
 loops evaluate the field once per accepted state, for the next step's first
 stage and the settle test alike. States are clamped to the nonnegative
-orthant: excursions within CLAMP_TOL are zeroed, anything worse aborts the
-run. Sampled starts use the IC_LOW, IC_HIGH and IC_FLOOR constants.
+orthant: excursions within CLAMP_TOL are zeroed; a worse one shrinks the
+adaptive step and aborts a fixed-step run. Sampled starts use the IC_LOW,
+IC_HIGH and IC_FLOOR constants.
 """
 
 from __future__ import annotations
@@ -79,12 +80,16 @@ class BatchTrajectory:
                           terminated_early=self.terminated_early, reason=self.reason)
 
 
+def _beyond_clamp(x: np.ndarray, worst: float) -> bool:
+    """Whether x (least entry worst) leaves the orthant beyond CLAMP_TOL, or is NaN."""
+    return not worst >= -CLAMP_TOL * max(1.0, float(np.max(np.abs(x))))
+
+
 def _clamp(x: np.ndarray) -> np.ndarray:
     worst = float(np.min(x)) if x.size else 0.0
     if worst >= 0.0:
         return x
-    scale = max(1.0, float(np.max(np.abs(x))))
-    if worst < -CLAMP_TOL * scale:
+    if _beyond_clamp(x, worst):
         raise PositivityViolation(
             f"state left the nonnegative orthant by {-worst:.3e}"
         )
@@ -128,12 +133,13 @@ def integrate(rhs, x0, horizon: float,
     Fixed-step RK4 by default, run as integrate_batch on a batch of one, so
     rhs must accept (1, d) arrays; Cash-Karp 5(4) with proportional step
     control when config.adaptive is set. Every accepted state is clamped to
-    the nonnegative orthant within CLAMP_TOL.
+    the nonnegative orthant within CLAMP_TOL; an adaptive step that leaves
+    it further is rejected and shrunk, like one with too large an error.
 
     Raises
     ------
     PositivityViolation
-        If a step leaves the orthant beyond the clamp tolerance.
+        If a fixed step leaves the orthant beyond the clamp tolerance.
     StepUnderflow
         If adaptive stepping cannot meet tolerance above the step floor.
     """
@@ -157,6 +163,8 @@ def _integrate_adaptive(rhs, x, horizon, cfg) -> Trajectory:
         x_new, err = _ck_step(rhs, x, h, k1)
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
         ratio = float(np.max(np.abs(err) / scale))
+        if x_new.size and _beyond_clamp(x_new, float(np.min(x_new))):
+            ratio = max(ratio, 2.0)  # too long a step, whatever its error estimate
         if ratio <= 1.0:
             x = _clamp(x_new)
             t += h

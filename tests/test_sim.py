@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import bbepi as bb
 from bbepi.sim import sample_initial_conditions
@@ -62,6 +63,33 @@ def test_positivity_clamp_and_violation():
     traj = bb.integrate(lambda x: -x, np.array([1e-14]), 1.0,
                         bb.IntegratorConfig(step=0.01))
     assert np.min(traj.states) >= 0.0
+
+
+def test_adaptive_shrinks_steps_that_leave_the_orthant():
+    # Every coordinate of this decaying chain falls towards zero; an
+    # accepted Cash-Karp step within abs_tol (1e-10) would still undershoot
+    # zero by more than CLAMP_TOL, so such a step must be retried shorter.
+    L = -5.0 * np.eye(4) + 4.95 * np.eye(4, k=-1)
+    traj = bb.integrate(lambda x: x @ L.T, np.ones(4), 30.0,
+                        bb.IntegratorConfig(adaptive=True))
+    assert traj.times[-1] == pytest.approx(30.0, abs=1e-9)
+    assert np.min(traj.states) >= 0.0
+    for t, x in zip(traj.times[::10], traj.states[::10]):
+        assert x == pytest.approx(expm(t * L) @ np.ones(4), abs=1e-8)
+    # A flow that really leaves the orthant shrinks the step to its floor.
+    with pytest.raises(bb.StepUnderflow):
+        bb.integrate(lambda x: -np.ones_like(x), np.array([0.05]), 1.0,
+                     bb.IntegratorConfig(adaptive=True))
+
+
+def test_overflowing_field_is_an_integration_failure():
+    # Transmission this strong overflows the first RK4 stages to inf - inf.
+    huge = bb.BilinearModel(A=[[-1.0]], A_S=[[-1.0]], B=[[1e300]], P=[[1.0]],
+                            Lambda=[1.0])
+    with np.errstate(all="ignore"), pytest.raises(bb.PositivityViolation,
+                                                  match="nan"):
+        bb.integrate(huge.rhs, np.array([0.5, 0.5]), 1.0,
+                     bb.IntegratorConfig(step=0.1))
 
 
 def test_adaptive_matches_fixed_on_smooth_problem(sir):

@@ -33,3 +33,40 @@ def test_m_inverse_sign_check_survives_optimized_mode():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("SingularMatrix:"), out.stdout
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_class_carries_a_contract_exit_code():
+    import bbepi
+    classes = [bbepi.AnalysisError, *_subclasses(bbepi.AnalysisError)]
+    codes = {cls.__name__: cls.exit_code for cls in classes}
+    assert set(codes.values()) <= {2, 3, 4}, codes
+    assert codes["AnalysisError"] == 3 and codes["ParseError"] == 2 \
+        and codes["NotApplicable"] == 4
+
+
+def test_only_cli_main_turns_an_exception_into_an_exit_code():
+    # Every other handler in cli.py turns an error into a report line, a
+    # typed error or a (law, report) pair, never into a return code.
+    tree = ast.parse((SRC / "bbepi" / "cli.py").read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    main = next(f for f in functions if f.name == "main")
+    main_handlers = [h for h in ast.walk(main) if isinstance(h, ast.ExceptHandler)]
+    assert len(main_handlers) == 1
+    found = []
+    for func in functions:
+        if func is main:
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute) and node.attr == "exit_code":
+                found.append(f"{func.name}:{node.lineno} reads exit_code")
+            if isinstance(node, ast.ExceptHandler):
+                found += [f"{func.name}:{ret.lineno} returns from a handler"
+                          for ret in ast.walk(node) if isinstance(ret, ast.Return)
+                          and not isinstance(ret.value, ast.Tuple)]
+    assert not found, found
