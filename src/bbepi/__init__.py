@@ -20,7 +20,7 @@ deterministic CLI (`bbepi`) binding it all together.
 
 from .errors import (AnalysisError, BelowThreshold, DegenerateB,
                      DimensionMismatch, IdentityViolation, InvalidModel,
-                     NegativeRate, NoBracket, NoConvergence, NonDiagonalAS,
+                     NegativeRate, NoConvergence, NonDiagonalAS,
                      NonPositiveState, NotApplicable, NotBalancedBilinear,
                      NotCaseP, NotEquilibrium, NotInvariantFace,
                      NotRankOne, NotRegularSplitting, ParseError,

@@ -8,12 +8,14 @@ The disease-free equilibrium is S0 = (-A_S)^{-1} Lambda. Above threshold
   (a = R or alpha_m; c = 0, or C D_w with recovery feedback, when the law
   can have several roots). Its roots are exactly the positive real
   eigenvalues of k (Diag(a) - c R^T) x = (A_S + Lambda R^T) x, found by one
-  dense m x m eigenvalue solve with no grid and no bracketing;
+  dense m x m eigenvalue solve of the better-conditioned side, with no grid
+  and no bracketing;
 * general transmission: the force of infection u = B I in R^m solves the
   closed m-dimensional system u = G (S(u) * u), S(u) = (Diag(u) - A_S)^{-1}
   Lambda, G = B (-A)^{-1} P, by Newton's method with an analytic Jacobian,
-  seeded on the Perron ray of the loop form G Diag(S0); the threshold
-  condition rho(K~(S)) = 1 is verified at the result.
+  seeded on the Perron ray of the loop form G Diag(S0) at the amplitude the
+  same eigenvalue solve finds; the threshold condition rho(K~(S)) = 1 is
+  verified at the result.
 
 The determinant identity det J_EE = -det J_DFE = mu_S det(A) (1 - R0) is
 checked for single-susceptible-class rank-one models.
@@ -30,8 +32,8 @@ import numpy as np
 from scipy.optimize import brentq  # noqa: F401
 
 from . import ngm, spectral
-from .errors import (BelowThreshold, IdentityViolation, NoBracket,
-                     NoConvergence, NotApplicable, NotCaseP, NotRankOne)
+from .errors import (BelowThreshold, IdentityViolation, NoConvergence,
+                     NotApplicable, NotCaseP, NotRankOne)
 from .model import BilinearModel, RankClass, RankTag, StateVector
 
 THRESHOLD_BAND = 1e-9
@@ -45,7 +47,6 @@ SCAN_K_MIN = 1e-8
 ROOT_REL_TOL = 1e-6
 INFINITE_ROOT_TOL = 1e-12
 DOUBLE_ROOT_DERIV_TOL = 1e-6
-SEED_REL_TOL = 1e-6
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 50
 
@@ -175,11 +176,12 @@ def _amplitude_roots(A_S: np.ndarray, Lambda: np.ndarray, R: np.ndarray,
     complement of A_S, they are the eigenvalues of
     k (Diag(a) - c R^T) x = (A_S + Lambda R^T) x (x scaled to R . x = 1),
     multiplicities included (matrix determinant lemma). The left side is
-    singular when H(infinity) = 1, the right when H(0) = R0 = 1; the side
-    with H farther from 1 is inverted, and mu = 1/k ~ 0 there stands for
-    k = infinity. Real positive roots within ROOT_REL_TOL of each other (a
-    split real or a conjugate pair) are one double root at their mean.
-    Returns the sorted roots and whether k = infinity was dropped.
+    singular when H(infinity) = 1 or some a_i is tiny, the right when
+    H(0) = R0 = 1; the side with the smaller condition number is inverted,
+    and mu = 1/k ~ 0 there stands for k = infinity. Real positive roots
+    within ROOT_REL_TOL of each other (a split real or a conjugate pair) are
+    one double root at their mean. Returns the sorted roots and whether
+    k = infinity was dropped.
     """
     K = a != 0.0
     J = ~K
@@ -194,10 +196,10 @@ def _amplitude_roots(A_S: np.ndarray, Lambda: np.ndarray, R: np.ndarray,
 
     lhs = np.diag(a) - np.outer(c, R)
     rhs = A_S + np.outer(Lambda, R)
-    H_0 = float(R @ np.linalg.solve(-A_S, Lambda))
-    H_inf = float(np.sum(c * R / a))
     try:
-        if abs(1.0 - H_inf) >= abs(1.0 - H_0):
+        # cond is undefined on 0 x 0 matrices: with every class eliminated
+        # the law is H = 0 and both sides are empty.
+        if not a.size or np.linalg.cond(lhs) <= np.linalg.cond(rhs):
             k, at_infinity = np.linalg.eigvals(np.linalg.solve(lhs, rhs)), False
         else:
             mu = np.linalg.eigvals(np.linalg.solve(rhs, lhs))
@@ -280,13 +282,15 @@ def endemic_spectral(model: BilinearModel) -> EquilibriumReport:
     which is solved by Newton's method with the analytic Jacobian
     I - G Diag(S) + G Diag(u) (Diag(u) - A_S)^{-1} Diag(S), halving each
     step until u stays positive. The seed lies on the Perron ray t v of the
-    loop form G Diag(S0), with the amplitude t bisected on the scalar
-    condition pi . G Diag(S(t v)) v = pi . v (pi, v the left and right
-    Perron vectors); its left side decreases in t because S(u) decreases
-    entrywise in u. For irreducible G the endemic point is unique
-    (Lajmanovich & Yorke 1976), so one root is all there is. The threshold
-    condition rho(K~(S_bar)) = 1 and the full vector-field residual are
-    verified at the result.
+    loop form G Diag(S0) (pi, v its left and right Perron vectors), where
+    pi . G Diag(S(t v)) v = pi . v. That condition is the amplitude law
+    H(t) = 1 with R' = v * (pi G) / (pi . v), a = v and c = 0, whose one
+    root (H(0) = R0 > 1 and H decreases, because S(u) decreases entrywise
+    in u) comes from the eigenvalue solve of _amplitude_roots. For
+    irreducible G the endemic point is unique (Lajmanovich & Yorke 1976),
+    so one root is all there is. The threshold condition
+    rho(K~(S_bar)) = 1 and the full vector-field residual are verified at
+    the result.
 
     Requires C = 0 and an irreducible circulation matrix G.
     """
@@ -302,28 +306,12 @@ def endemic_spectral(model: BilinearModel) -> EquilibriumReport:
         raise NotApplicable("circulation matrix B(-A)^{-1}P is reducible")
 
     v, pi = sd.w_right, sd.pi_left
-    target = float(pi @ v)
-    piG = pi @ G
-
-    def seed_gap(t: float) -> float:
-        S = np.linalg.solve(t * np.diag(v) - model.A_S, model.Lambda)
-        return float(piG @ (S * v)) - target
-
-    t_lo, t_hi = 0.0, 1.0
-    for _ in range(MAX_DOUBLINGS):
-        if seed_gap(t_hi) < 0.0:
-            break
-        t_lo, t_hi = t_hi, 2.0 * t_hi
-    else:
-        raise NoBracket(f"seed condition stayed >= 0 out to t = {t_hi:.3e}")
-    while t_hi - t_lo > SEED_REL_TOL * t_hi:
-        t_mid = 0.5 * (t_lo + t_hi)
-        if seed_gap(t_mid) < 0.0:
-            t_hi = t_mid
-        else:
-            t_lo = t_mid
-
-    u = t_hi * v
+    seeds, _ = _amplitude_roots(model.A_S, model.Lambda,
+                                v * (pi @ G) / float(pi @ v), v, np.zeros(model.m))
+    if len(seeds) != 1:
+        raise NoConvergence(f"seed amplitude law with R0 = {R0:.12g} > 1 has "
+                            f"roots {seeds}, expected exactly one")
+    u = seeds[0] * v
     for iters in range(NEWTON_MAXITER + 1):
         M = np.diag(u) - model.A_S
         S = np.linalg.solve(M, model.Lambda)

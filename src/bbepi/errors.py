@@ -59,10 +59,6 @@ class BelowThreshold(AnalysisError):
     exit_code = 4
 
 
-class NoBracket(AnalysisError):
-    """Root bracketing failed within the allotted expansion budget."""
-
-
 class NotApplicable(AnalysisError):
     """The operation's structural preconditions are not met by this model."""
 

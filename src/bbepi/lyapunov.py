@@ -39,7 +39,6 @@ WEIGHT_TOL = 1e-10
 CHAIN_RULE_TOL = 1e-8
 VIOLATION_TOL = 1e-7
 SETTLE_TOL = 1e-11
-CONV_REL_TOL = 1e-3
 
 
 def _gfun(theta: np.ndarray) -> np.ndarray:
@@ -234,7 +233,7 @@ class SamplingConfig:
 
     Fixed parts are constants: start factors in [sim.IC_LOW, sim.IC_HIGH],
     floored at sim.IC_FLOOR; settling to SETTLE_TOL; convergence within
-    CONV_REL_TOL of the attractor.
+    sim.CONV_REL_TOL of the attractor.
     """
 
     n_trajectories: int = 20
@@ -302,7 +301,7 @@ def verify_decrease(model: BilinearModel, kind: str,
     true when the worst signed derivative among all samples stays within
     VIOLATION_TOL (scaled by the derivative's magnitude); the assembled and
     chain-rule derivatives are compared on every sample; the convergence
-    fraction counts endpoints within CONV_REL_TOL of the attractor.
+    fraction counts endpoints within sim.CONV_REL_TOL of the attractor.
     """
     cfg = config or SamplingConfig()
     rank = classify_rank(model) if rank is None else rank
@@ -344,14 +343,12 @@ def verify_decrease(model: BilinearModel, kind: str,
     scale = max(1.0, float(np.max(np.abs(V_dot))))
     worst = max(0.0, float(np.max(V_dot)))
     gap = float(np.max(np.abs(V_dot - chain)))
-    dist = np.max(np.abs(batch.states[-1] - target[None, :]), axis=-1)
-    conv = float(np.mean(dist <= CONV_REL_TOL * max(1.0, float(np.max(np.abs(target))))))
     return LyapunovCertificate(
         kind=kind,
         verdict=bool(worst <= VIOLATION_TOL * scale),
         worst_violation=worst,
         chain_rule_gap=gap,
-        convergence_fraction=conv,
+        convergence_fraction=sim.convergence_fraction(batch.states[-1], target),
         n_trajectories=cfg.n_trajectories,
         seed=cfg.seed,
         target=target,

@@ -8,8 +8,10 @@ Cash-Karp 5(4) pair is available when adaptive stepping is wanted. Both
 loops evaluate the field once per accepted state, for the next step's first
 stage and the settle test alike. States are clamped to the nonnegative
 orthant: excursions within CLAMP_TOL are zeroed; a worse one shrinks the
-adaptive step and aborts a fixed-step run. Sampled starts use the IC_LOW,
-IC_HIGH and IC_FLOOR constants.
+adaptive step and aborts a fixed-step run. The adaptive error tolerances
+are REL_TOL and ABS_TOL. Sampled starts use the IC_LOW, IC_HIGH and
+IC_FLOOR constants, and an endpoint counts as converged within CONV_REL_TOL
+of its target.
 """
 
 from __future__ import annotations
@@ -24,10 +26,13 @@ from .errors import PositivityViolation, StepUnderflow
 DEFAULT_STEP = 0.01
 DEFAULT_HORIZON = 100.0
 CLAMP_TOL = 1e-12
+REL_TOL = 1e-8
+ABS_TOL = 1e-10
 MIN_ADAPTIVE_STEP = 1e-12
 IC_LOW = 1e-3
 IC_HIGH = 10.0
 IC_FLOOR = 1e-3
+CONV_REL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -36,14 +41,12 @@ class IntegratorConfig:
 
     settle_tol, when set, stops the run early once the vector field norm
     falls below settle_tol * (1 + |x|): useful for convergence studies where
-    the tail adds nothing. The positivity clamp tolerance is the module
-    constant CLAMP_TOL.
+    the tail adds nothing. The positivity clamp and adaptive error
+    tolerances are the module constants CLAMP_TOL, REL_TOL and ABS_TOL.
     """
 
     step: float = DEFAULT_STEP
     adaptive: bool = False
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
     settle_tol: float | None = None
 
 
@@ -161,7 +164,7 @@ def _integrate_adaptive(rhs, x, horizon, cfg) -> Trajectory:
     while t < horizon - 1e-15:
         h = min(h, horizon - t)
         x_new, err = _ck_step(rhs, x, h, k1)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x), np.abs(x_new))
+        scale = ABS_TOL + REL_TOL * np.maximum(np.abs(x), np.abs(x_new))
         ratio = float(np.max(np.abs(err) / scale))
         if x_new.size and _beyond_clamp(x_new, float(np.min(x_new))):
             ratio = max(ratio, 2.0)  # too long a step, whatever its error estimate
@@ -232,21 +235,22 @@ def sample_initial_conditions(rng: np.random.Generator, n: int,
     return np.maximum(np.exp(u) * ref, IC_FLOOR)
 
 
+def convergence_fraction(final: np.ndarray, target: np.ndarray) -> float:
+    """Share of endpoints (N, d) within CONV_REL_TOL * max(1, |target|) of
+    target in the sup-norm."""
+    dist = np.max(np.abs(final - target[None, :]), axis=-1)
+    return float(np.mean(dist <= CONV_REL_TOL * max(1.0, float(np.max(np.abs(target))))))
+
+
 def empirical_gas(rhs, target: np.ndarray, n_starts: int = 20,
-                  horizon: float = DEFAULT_HORIZON, seed: int = 0,
-                  config: IntegratorConfig | None = None,
-                  rel_tol: float = 1e-3) -> float:
+                  horizon: float = DEFAULT_HORIZON, seed: int = 0) -> float:
     """Fraction of random positive starts that reach `target` by the horizon.
 
-    Starts are drawn by sample_initial_conditions around the target; an
-    endpoint counts as converged when its sup-norm distance to the target is
-    within rel_tol * max(1, |target|).
+    Starts are drawn by sample_initial_conditions around the target and
+    scored by convergence_fraction.
     """
     target = np.asarray(target, dtype=float).ravel()
     rng = np.random.default_rng(seed)
     X0 = sample_initial_conditions(rng, n_starts, target)
-    cfg = config or IntegratorConfig(settle_tol=1e-10)
-    batch = integrate_batch(rhs, X0, horizon, cfg)
-    final = batch.states[-1]
-    dist = np.max(np.abs(final - target[None, :]), axis=-1)
-    return float(np.mean(dist <= rel_tol * max(1.0, float(np.max(np.abs(target))))))
+    batch = integrate_batch(rhs, X0, horizon, IntegratorConfig(settle_tol=1e-10))
+    return convergence_fraction(batch.states[-1], target)

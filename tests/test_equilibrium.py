@@ -146,6 +146,15 @@ def test_spectral_solver_names_newton_cap(monkeypatch):
         bb.endemic_spectral(model)
 
 
+def test_spectral_solver_names_a_seed_law_without_one_root(monkeypatch):
+    model = with_r0(random_model(rng0(40), 3, 3, "general"), 3.0)
+    assert bb.endemic_spectral(model).endemic_points
+    monkeypatch.setattr(eq, "_amplitude_roots", lambda *args: ([0.5, 2.0], False))
+    with pytest.raises(bb.NoConvergence,
+                       match=r"has roots \[0\.5, 2\.0\], expected exactly one"):
+        bb.endemic_spectral(model)
+
+
 def test_threshold_band_reports_marginal():
     rng = rng0(37)
     model = with_r0(random_model(rng, 2, 2, "casep"), 1.0)
@@ -438,6 +447,21 @@ def test_rank_one_zero_infectivity_class_matches_scalar_law():
         assert p.k == pytest.approx(brentq(lambda k: H(k) - 1.0, 1e-12, 1e6,
                                            xtol=1e-15, rtol=1e-14), rel=1e-10)
         assert p.residual <= 1e-10
+
+
+@pytest.mark.parametrize("b", [0.0, 1e-3, 1e-6, 1e-8, 1e-12, 1e-16, 1e-20, 1e-100])
+def test_rank_one_tiny_infectivity_entry(b):
+    # a = R is proportional to (1.839, b): Diag(a) is nearly singular for
+    # tiny b, so the eigenvalue solve must invert the other side.
+    model = bb.BilinearModel(A=[[-2.212]], A_S=[[-1.520, 0.342], [0.023, -2.817]],
+                             B=[[1.839], [b]], P=[[1.0, 1.0]], Lambda=[1.839, 1.0])
+    rank = bb.classify_rank(model)
+    (p,) = bb.endemic_rank_one(model, rank).endemic_points
+    R = bb.replacement_vector(model, rank)
+    assert abs(float(p.S_bar @ R) - 1.0) <= eq.NORMALIZATION_TOL
+    assert p.residual <= eq.RESIDUAL_TOL
+    if b <= 1e-12:
+        assert p.k == pytest.approx(0.1354664571487, rel=1e-11)
 
 
 @settings(max_examples=60, deadline=None)

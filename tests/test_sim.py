@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 import bbepi as bb
+from bbepi import sim
 from bbepi.sim import sample_initial_conditions
 from conftest import random_model, with_r0
 
@@ -67,7 +68,7 @@ def test_positivity_clamp_and_violation():
 
 def test_adaptive_shrinks_steps_that_leave_the_orthant():
     # Every coordinate of this decaying chain falls towards zero; an
-    # accepted Cash-Karp step within abs_tol (1e-10) would still undershoot
+    # accepted Cash-Karp step within ABS_TOL (1e-10) would still undershoot
     # zero by more than CLAMP_TOL, so such a step must be retried shorter.
     L = -5.0 * np.eye(4) + 4.95 * np.eye(4, k=-1)
     traj = bb.integrate(lambda x: x @ L.T, np.ones(4), 30.0,
@@ -92,12 +93,13 @@ def test_overflowing_field_is_an_integration_failure():
                      bb.IntegratorConfig(step=0.1))
 
 
-def test_adaptive_matches_fixed_on_smooth_problem(sir):
+def test_adaptive_matches_fixed_on_smooth_problem(sir, monkeypatch):
     fixed = bb.integrate(sir.rhs, np.array([0.9, 0.1]), 30.0,
                          bb.IntegratorConfig(step=0.001))
+    monkeypatch.setattr(sim, "REL_TOL", 1e-10)
+    monkeypatch.setattr(sim, "ABS_TOL", 1e-12)
     adaptive = bb.integrate(sir.rhs, np.array([0.9, 0.1]), 30.0,
-                            bb.IntegratorConfig(adaptive=True, rel_tol=1e-10,
-                                                abs_tol=1e-12))
+                            bb.IntegratorConfig(adaptive=True))
     assert adaptive.states[-1] == pytest.approx(fixed.states[-1], abs=1e-7)
     assert adaptive.times[-1] == pytest.approx(30.0, abs=1e-9)
 

@@ -50,6 +50,23 @@ def test_every_error_class_carries_a_contract_exit_code():
         and codes["NotApplicable"] == 4
 
 
+def test_every_error_class_is_raised_somewhere():
+    # A class no library code raises is dead API; it must not linger.
+    import bbepi
+    raised = set()
+    for path in sorted((SRC / "bbepi").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    never = sorted(cls.__name__ for cls in _subclasses(bbepi.AnalysisError)
+                   if cls.__name__ not in raised)
+    assert not never, f"error classes raised nowhere in src/bbepi: {never}"
+
+
 def test_only_cli_main_turns_an_exception_into_an_exit_code():
     # Every other handler in cli.py turns an error into a report line, a
     # typed error or a (law, report) pair, never into a return code.
