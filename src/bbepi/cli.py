@@ -7,7 +7,8 @@ analyze   validate, classify, and solve a model end to end; writes
 lyapunov  sample trajectories and audit a decrease certificate; writes
           certificate.json plus certificate.csv / certificate_all.csv.
 scan      sweep one scalar matrix entry and tabulate the endemic amplitude
-          roots per grid point; writes scan.csv.
+          roots per grid point; writes scan.csv (a point whose solver
+          fails keeps its row, with a note).
 siphons   enumerate minimal siphons of a reaction network, with face
           Jacobian blocks where a face equilibrium is found; writes
           siphons.txt and siphons.json.
@@ -39,7 +40,7 @@ from . import equilibrium as eq
 from . import lyapunov as lyap
 from .errors import (AnalysisError, BelowThreshold, InvalidModel,
                      NotApplicable, NotRankOne, ParseError,
-                     PositivityViolation, StepUnderflow)
+                     PositivityViolation, StepUnderflow, is_solver_failure)
 from .model import (BilinearModel, RankTag, classify_rank, load_model,
                     validate_accessibility, validate_model)
 
@@ -280,34 +281,55 @@ def cmd_scan(args) -> int:
     except ValueError:
         raise ParseError(f"--grid must be lo:hi:num, got {args.grid!r}")
 
+    # A point whose solve fails keeps its row, with empty root cells and the
+    # error in a trailing note column; the run still fails, after the write.
     rows = []
+    failures = []
     max_roots = 0
     for value in grid:
         point = _set_entry(model, name, i, j, float(value))
         _require_valid(validate_model(point),
                        f"model invalid at {args.entry}={_fmt(value)}")
-        law, _ = eq.feedback_analysis(point, classify_rank(point))
+        try:
+            law, _ = eq.feedback_analysis(point, classify_rank(point))
+        except AnalysisError as exc:
+            if not is_solver_failure(exc):
+                raise
+            failures.append(exc)
+            rows.append((float(value), eq.reproduction_number(point), None, None,
+                         False, f"{type(exc).__name__}: {exc}"))
+            continue
         rows.append((float(value), law.R0, law.roots, law.saddle_flags,
-                     law.backward_bifurcation))
+                     law.backward_bifurcation, ""))
         max_roots = max(max_roots, len(law.roots))
 
     header = ["param", "R0", "num_roots", "backward"]
     for r in range(1, max_roots + 1):
         header += [f"k{r}", f"saddle{r}"]
+    if failures:
+        header.append("note")
     out_lines = [",".join(header)]
-    for value, R0, roots, saddles, backward in rows:
-        cells = [_fmt(value), _fmt(R0), str(len(roots)), str(backward).lower()]
-        for r in range(max_roots):
-            if r < len(roots):
-                cells += [_fmt(roots[r]), str(saddles[r]).lower()]
-            else:
-                cells += ["", ""]
+    for value, R0, roots, saddles, backward, note in rows:
+        if roots is None:
+            cells = [_fmt(value), _fmt(R0), "", ""] + ["", ""] * max_roots
+        else:
+            cells = [_fmt(value), _fmt(R0), str(len(roots)), str(backward).lower()]
+            for r in range(max_roots):
+                if r < len(roots):
+                    cells += [_fmt(roots[r]), str(saddles[r]).lower()]
+                else:
+                    cells += ["", ""]
+        if failures:
+            cells.append('"' + note.replace('"', '""') + '"' if note else "")
         out_lines.append(",".join(cells))
     _write(out_dir, "scan.csv", "\n".join(out_lines) + "\n")
     backward_any = any(r[4] for r in rows)
     print(f"scan points: {len(rows)}")
     print(f"max roots at one point: {max_roots}")
     print(f"backward bifurcation detected: {str(backward_any).lower()}")
+    if failures:
+        print(f"failed points: {len(failures)}")
+        raise failures[0]
     return EXIT_OK
 
 

@@ -24,7 +24,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (NegativeRate, NotBalancedBilinear, NotEquilibrium,
                      NotInvariantFace, ParseError, TooManySpecies,
@@ -228,6 +227,12 @@ def is_siphon(net: ReactionNetwork, members) -> bool:
         if produces and not consumes:
             return False
     return True
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on first use so `import bbepi` loads no scipy."""
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
 
 
 def _has_conservation_support(net: ReactionNetwork, members: tuple[int, ...]) -> bool:

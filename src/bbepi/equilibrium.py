@@ -27,9 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-# Not called here: the benchmark's span tracer wraps this module attribute
-# (bench/spans.py, target "equilibrium.brentq") and fails if it is missing.
-from scipy.optimize import brentq  # noqa: F401
 
 from . import ngm, spectral
 from .errors import (BelowThreshold, IdentityViolation, NoConvergence,
@@ -49,6 +46,17 @@ INFINITE_ROOT_TOL = 1e-12
 DOUBLE_ROOT_DERIV_TOL = 1e-6
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 50
+
+
+def __getattr__(name):
+    # brentq is not called here, but the benchmark's span tracer wraps this
+    # module attribute (bench/spans.py, target "equilibrium.brentq") and fails
+    # if it is missing. Resolving it on first access keeps scipy out of
+    # `import bbepi`; this goes once that span target is dropped.
+    if name == "brentq":
+        from scipy.optimize import brentq
+        return brentq
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def dfe(model: BilinearModel) -> np.ndarray:

@@ -17,6 +17,11 @@ class AnalysisError(Exception):
     exit_code = 3
 
 
+def is_solver_failure(exc: AnalysisError) -> bool:
+    """Whether exc reports a failed solve (exit 3), not bad input or an unmet hypothesis."""
+    return exc.exit_code == AnalysisError.exit_code
+
+
 class InvalidModel(AnalysisError):
     """A model failed validate_model's checks."""
 

@@ -76,8 +76,17 @@ class BilinearModel:
         Lambda = _as_matrix(np.ravel(self.Lambda), (m,), "Lambda")
         C = self.C
         C = np.zeros((m, n)) if C is None else _as_matrix(C, (m, n), "C")
+        # The field as one affine map plus one bilinear term (see rhs).
+        d = m + n
+        c = np.concatenate([Lambda, np.zeros(n)])
+        L = np.zeros((d, d))
+        L[:m, :m] = A_S.T
+        L[m:, :m] = C.T
+        L[m:, m:] = A.T
+        E = np.hstack([-np.eye(m), P.T])
         for name, arr in (("A", A), ("A_S", A_S), ("B", B), ("P", P),
-                          ("Lambda", Lambda), ("C", C)):
+                          ("Lambda", Lambda), ("C", C), ("_c", c), ("_L", L),
+                          ("_Bt", B.T), ("_E", E)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -95,12 +104,16 @@ class BilinearModel:
         return x[..., : self.m], x[..., self.m:]
 
     def rhs(self, x: np.ndarray) -> np.ndarray:
-        """Vector field at stacked state(s) x = (S, I), shape (..., m+n)."""
-        S, I = self.split(x)
-        bil = S * (I @ self.B.T)
-        dS = self.Lambda + S @ self.A_S.T - bil + I @ self.C.T
-        dI = bil @ self.P.T + I @ self.A.T
-        return np.concatenate([dS, dI], axis=-1)
+        """Vector field at stacked state(s) x = (S, I), shape (..., m+n).
+
+        Evaluated as c + x L + (S * (I B^T)) E with c = (Lambda, 0),
+        L = [[A_S^T, 0], [C^T, A^T]] and E = [-I_m, P^T]: the linear flows,
+        inflow and recovery feedback in one product, and the bilinear
+        transfer leaving S and arriving, routed by P, in I.
+        """
+        x = np.asarray(x, dtype=float)
+        m = self.m
+        return self._c + x @ self._L + (x[..., :m] * (x[..., m:] @ self._Bt)) @ self._E
 
     def to_dict(self) -> dict:
         return {

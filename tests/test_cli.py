@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from bbepi import IdentityViolation
 from bbepi import equilibrium as eq
 from bbepi import lyapunov as lyap
 from bbepi.cli import main
@@ -280,6 +281,54 @@ def test_scan_general_rank_exits_4(tmp_path, capsys):
     rc = main(["scan", str(path), "--entry", "B[0,0]",
                "--grid", "0.5:1.5:3", "--out", str(tmp_path)])
     assert rc == 4
+
+
+def test_scan_keeps_the_sweep_when_one_point_fails(tmp_path, capsys):
+    # SIS with no infected death: at B = 1 both R0 = 1 and H(inf) = 1, so
+    # the amplitude law is identically 1 and its solve fails; the points on
+    # either side are still reported.
+    path = write_model(tmp_path, json.dumps({
+        "m": 1, "n": 1, "A": [[-1]], "A_S": [[-0.1]], "B": [[3]], "P": [[1]],
+        "Lambda": [0.1], "C": [[1]]}))
+    rc = main(["scan", str(path), "--entry", "B[0,0]",
+               "--grid", "0.5:1.5:3", "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "error: amplitude law is degenerate: k = 0 and k = infinity both solve it\n"
+    assert (tmp_path / "scan.csv").read_text() == (
+        "param,R0,num_roots,backward,note\n"
+        "0.5,0.5,0,false,\n"
+        '1.0,1.0,,,"NoConvergence: amplitude law is degenerate: '
+        'k = 0 and k = infinity both solve it"\n'
+        "1.5,1.5,0,false,\n")
+
+
+def test_scan_failed_point_row_keeps_the_root_columns(tmp_path, sir_path, capsys,
+                                                    monkeypatch):
+    solve = eq.feedback_analysis
+
+    def failing_at_two(model, rank):
+        if model.B[0, 0] == 2.0:
+            raise IdentityViolation('injected, "quoted"')
+        return solve(model, rank)
+
+    monkeypatch.setattr(eq, "feedback_analysis", failing_at_two)
+    rc = main(["scan", str(sir_path), "--entry", "B[0,0]",
+               "--grid", "1.5:2.5:3", "--out", str(tmp_path)])
+    assert rc == 3
+    lines = (tmp_path / "scan.csv").read_text().splitlines()
+    assert lines[0] == "param,R0,num_roots,backward,k1,saddle1,note"
+    assert lines[1].startswith("1.5,1.5,1,false,") and lines[1].endswith(",false,")
+    assert lines[2] == '2.0,2.0,,,,,"IdentityViolation: injected, ""quoted"""'
+    assert lines[3].startswith("2.5,2.5,1,false,")
+
+
+def test_scan_hypothesis_failure_writes_no_file(tmp_path, capsys):
+    path = write_model(tmp_path, GENERAL_RANK_JSON)
+    out = tmp_path / "out"
+    assert main(["scan", str(path), "--entry", "B[0,0]",
+                 "--grid", "0.5:1.5:3", "--out", str(out)]) == 4
+    assert not (out / "scan.csv").exists()
 
 
 # ---------------------------------------------------------------- siphons

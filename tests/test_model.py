@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bbepi as bb
-from conftest import random_model, random_stochastic_columns
+from conftest import feedback_C, random_model, random_stochastic_columns
 
 rng0 = np.random.default_rng
 
@@ -161,3 +161,42 @@ def test_stochastic_builder_columns_sum_to_one():
     rng = rng0(9)
     P = random_stochastic_columns(rng, 4, 3)
     assert P.sum(axis=0) == pytest.approx(np.ones(3), abs=1e-12)
+
+
+def _block_field(model, x):
+    """The field block by block, as the model equations state it, together
+    with the magnitude of the terms each entry sums."""
+    S, I = model.split(x)
+    bil = S * (I @ model.B.T)
+    dS = model.Lambda + S @ model.A_S.T - bil + I @ model.C.T
+    dI = bil @ model.P.T + I @ model.A.T
+    size_S = model.Lambda + S @ np.abs(model.A_S).T + bil + I @ model.C.T
+    size_I = bil @ model.P.T + I @ np.abs(model.A).T
+    return (np.concatenate([dS, dI], axis=-1),
+            np.concatenate([size_S, size_I], axis=-1))
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("feedback", [False, True])
+def test_fused_field_matches_block_formula(seed, feedback):
+    # rhs sums the same terms as the block formula in another order, so the
+    # two agree to a few roundings of the terms' magnitude.
+    rng = rng0(seed)
+    m, n = (int(k) for k in rng.integers(1, 5, size=2))
+    model = random_model(rng, m, n, ("casep", "caseb", "general")[seed % 3])
+    if feedback:
+        model = bb.BilinearModel(A=model.A, A_S=model.A_S, B=model.B, P=model.P,
+                                 Lambda=model.Lambda, C=feedback_C(model, rng))
+    d = m + n
+    for shape in [(d,), (6, d), (4, 6, d)]:
+        x = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), size=shape))
+        ref, size = _block_field(model, x)
+        f = model.rhs(x)
+        assert f.shape == shape
+        tol = 4 * np.finfo(float).eps * np.maximum(1.0, size)
+        assert np.all(np.abs(f - ref) <= tol), np.max(np.abs(f - ref) / tol)
+
+
+def test_fused_field_operators_are_read_only(sir):
+    for arr in (sir._c, sir._L, sir._Bt, sir._E):
+        assert not arr.flags.writeable

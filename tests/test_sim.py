@@ -183,3 +183,49 @@ def test_random_model_trajectories_stay_nonnegative():
         x0 = rng.uniform(0.0, 2.0, size=4)
         traj = bb.integrate(model.rhs, x0, 50.0, bb.IntegratorConfig(step=0.01))
         assert np.min(traj.states) >= 0.0
+
+
+def _settle_step_reference(rhs, X0, horizon, step, tol):
+    """The fixed-step loop with the per-row settle test at every step."""
+    X = np.array(X0, dtype=float)
+    k1 = rhs(X)
+    for i in range(max(1, int(round(horizon / step)))):
+        X = sim._clamp(sim._rk4_step(rhs, X, step, k1))
+        k1 = rhs(X)
+        if np.all(np.max(np.abs(k1), axis=-1) <= tol * (1.0 + np.max(np.abs(X), axis=-1))):
+            return i + 1, X
+    return None, X
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_settle_shortcut_stops_where_the_per_row_test_does(seed):
+    rng = rng0(seed)
+    m, n = (int(k) for k in rng.integers(1, 4, size=2))
+    model = with_r0(random_model(rng, m, n), float(rng.uniform(0.3, 3.0)))
+    X0 = rng.uniform(0.01, 3.0, size=(5, m + n))
+    for tol in (1e-4, 1e-8):
+        steps, X = _settle_step_reference(model.rhs, X0, 60.0, 0.01, tol)
+        batch = bb.integrate_batch(model.rhs, X0, 60.0,
+                                   bb.IntegratorConfig(step=0.01, settle_tol=tol))
+        assert batch.terminated_early == (steps is not None)
+        assert batch.times.size - 1 == (6000 if steps is None else steps)
+        assert np.array_equal(batch.states[-1], X)
+        assert np.array_equal(batch.times, np.arange(batch.times.size) * 0.01)
+
+
+def test_batch_positivity_violations_still_raise():
+    # A NaN state and a step leaving the orthant both abort, with or
+    # without the settle test.
+    def nan_field(X):
+        return np.where(X < 0.5, np.nan, -X)
+
+    def leaving(X):
+        return -np.ones_like(X)
+
+    X0 = np.array([[1.0, 1.0], [0.55, 1.0]])
+    for tol in (None, 1e-10):
+        cfg = bb.IntegratorConfig(step=0.1, settle_tol=tol)
+        with pytest.raises(bb.PositivityViolation, match="nan"):
+            bb.integrate_batch(nan_field, X0, 5.0, cfg)
+        with pytest.raises(bb.PositivityViolation, match="left the nonnegative orthant"):
+            bb.integrate_batch(leaving, X0, 5.0, cfg)
