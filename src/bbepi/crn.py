@@ -19,7 +19,7 @@ bundle exactly.
 
 from __future__ import annotations
 
-import itertools
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -58,10 +58,41 @@ class Reaction:
 
 @dataclass(frozen=True)
 class ReactionNetwork:
-    """Species-indexed reaction list with its stoichiometric matrix."""
+    """Species-indexed reaction list with its stoichiometric matrix.
+
+    The source, output and stoichiometric matrices (one column per reaction)
+    are built once, read-only. So is the gather plan of `rates`: each
+    reaction's source species in increasing order, padded to a common width,
+    with the multiplicities grouped by value.
+    """
 
     species: tuple[str, ...]
     reactions: tuple[Reaction, ...]
+
+    def __post_init__(self):
+        if self.reactions:
+            src = np.array([r.source for r in self.reactions]).T
+            out = np.array([r.output for r in self.reactions]).T
+        else:
+            src = out = np.zeros((len(self.species), 0))
+        supports = [np.flatnonzero(r.source) for r in self.reactions]
+        sizes = np.array([s.size for s in supports], dtype=np.intp)
+        width = int(sizes.max(initial=0))
+        idx = np.zeros((sizes.size, width), dtype=np.intp)
+        expo = np.ones((sizes.size, width))
+        for r, s in enumerate(supports):
+            idx[r, :s.size] = s
+            expo[r, :s.size] = self.reactions[r].source[s]
+        pad = np.arange(width) >= sizes[:, None]
+        # Scalar exponents only: an array-exponent power can round differently.
+        powers = tuple((float(e), expo == e) for e in np.unique(expo) if e != 1.0)
+        k = np.array([r.rate_constant for r in self.reactions], dtype=float)
+        for name, arr in (("source_matrix", src), ("output_matrix", out),
+                          ("Gamma", out - src), ("_src_idx", idx), ("_pad", pad),
+                          ("_k", k)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_powers", powers)
 
     @property
     def n_species(self) -> int:
@@ -71,30 +102,21 @@ class ReactionNetwork:
     def n_reactions(self) -> int:
         return len(self.reactions)
 
-    @property
-    def source_matrix(self) -> np.ndarray:
-        return np.array([r.source for r in self.reactions]).T if self.reactions \
-            else np.zeros((self.n_species, 0))
-
-    @property
-    def output_matrix(self) -> np.ndarray:
-        return np.array([r.output for r in self.reactions]).T if self.reactions \
-            else np.zeros((self.n_species, 0))
-
-    @property
-    def Gamma(self) -> np.ndarray:
-        """Stoichiometric matrix, one column per reaction (output - source)."""
-        return self.output_matrix - self.source_matrix
-
     def rates(self, x: np.ndarray) -> np.ndarray:
-        """Mass-action rates at state(s) x, shape (..., n_species)."""
+        """Mass-action rates at state(s) x, shape (..., n_species).
+
+        Rate r is k_r times x_i ** s_i over its source species i, multiplied
+        in increasing species order, so it rounds as that product would.
+        """
         x = np.asarray(x, dtype=float)
         out = np.empty(x.shape[:-1] + (self.n_reactions,))
-        for r_idx, rxn in enumerate(self.reactions):
-            rate = np.full(x.shape[:-1], rxn.rate_constant)
-            for i in np.flatnonzero(rxn.source):
-                rate = rate * x[..., i] ** rxn.source[i]
-            out[..., r_idx] = rate
+        out[...] = self._k
+        factors = x[..., self._src_idx]
+        for e, mask in self._powers:
+            factors[..., mask] = factors[..., mask] ** e
+        factors[..., self._pad] = 1.0
+        for j in range(factors.shape[-1]):
+            out *= factors[..., j]
         return out
 
     def rhs(self, x: np.ndarray) -> np.ndarray:
@@ -215,79 +237,133 @@ class SiphonSet:
 
 def is_siphon(net: ReactionNetwork, members) -> bool:
     """Does every reaction net-producing a member consume some member?"""
-    members = set(members)
-    if not members:
-        return True
-    Gamma = net.Gamma
-    src = net.source_matrix
-    idx = sorted(members)
-    for r in range(net.n_reactions):
-        produces = np.any(Gamma[idx, r] > 0)
-        consumes = np.any(src[idx, r] > 0)
-        if produces and not consumes:
-            return False
-    return True
+    idx = sorted(set(members))
+    produces = np.any(net.Gamma[idx, :] > 0, axis=0)
+    consumes = np.any(net.source_matrix[idx, :] > 0, axis=0)
+    return not np.any(produces & ~consumes)
 
 
 def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on first use so `import bbepi` loads no scipy."""
+    """scipy.optimize.linprog, imported on first use so `import bbepi` loads no scipy.
+
+    Nothing in the library calls it. It stays only because the benchmark's
+    span tracer wraps this module attribute (bench/spans.py, target
+    "crn.linprog") and fails if it is missing; it goes together with
+    `equilibrium.brentq` once that target is dropped.
+    """
     from scipy.optimize import linprog as scipy_linprog
     return scipy_linprog(*args, **kwargs)
 
 
+def _minimal_supports(rows: list[tuple[list[int], int]]) -> list[tuple[list[int], int]]:
+    """Rows whose support mask contains no other row's; one per support."""
+    kept: list[tuple[list[int], int]] = []
+    for row in sorted(rows, key=lambda r: r[1].bit_count()):
+        if not any(s & row[1] == s for _, s in kept):
+            kept.append(row)
+    return kept
+
+
+def _pairing_growth(table: list[tuple[list[int], int]], c: int) -> int:
+    """Rows added minus rows dropped by cancelling column c."""
+    pos = sum(vec[c] > 0 for vec, _ in table)
+    neg = sum(vec[c] < 0 for vec, _ in table)
+    return pos * neg - pos - neg
+
+
 def _has_conservation_support(net: ReactionNetwork, members: tuple[int, ...]) -> bool:
-    """Is there y >= 0, y != 0, supported inside `members`, with y Gamma = 0?"""
-    Gamma = net.Gamma
-    sub = Gamma[list(members), :]
-    k = len(members)
-    # Feasibility LP: y >= 0, y^T sub = 0, sum y = 1.
-    A_eq = np.vstack([sub.T, np.ones((1, k))])
-    b_eq = np.concatenate([np.zeros(sub.shape[1]), [1.0]])
-    res = linprog(c=np.zeros(k), A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * k, method="highs")
-    return bool(res.status == 0)
+    """Is there y >= 0, y != 0, supported inside `members`, with y Gamma = 0?
+
+    P-semiflow elimination (Martinez & Silva 1982) in exact integers. Each
+    table row is a nonnegative combination of member rows of Gamma, kept as
+    its integer entries and the bitmask of members it combines. Column by
+    column, every row with a positive entry is paired with every row with a
+    negative one so that the column cancels, rows still nonzero there are
+    dropped, and only rows of minimal support are kept: these are the extreme
+    rays of the cone of nonnegative combinations cancelling the columns done
+    so far. A conservation law exists exactly when a row survives every
+    column, and a row that is already zero does.
+    """
+    sub = net.Gamma[list(members), :]
+    sub = sub[:, np.any(sub != 0.0, axis=0)]
+    # A finite float is p / q with q a power of two, so one common
+    # denominator makes every entry an exact integer.
+    ratios = [[v.as_integer_ratio() for v in row.tolist()] for row in sub]
+    denom = max((q for row in ratios for _, q in row), default=1)
+    table = [([p * (denom // q) for p, q in row], 1 << i)
+             for i, row in enumerate(ratios)]
+    todo = list(range(sub.shape[1]))
+    while table:
+        if any(not any(vec) for vec, _ in table):
+            return True
+        # Cancel first the column whose pairings grow the table least.
+        c = min(todo, key=lambda col: _pairing_growth(table, col))
+        todo.remove(c)
+        nxt = [row for row in table if row[0][c] == 0]
+        for a, sa in table:
+            if a[c] <= 0:
+                continue
+            for b, sb in table:
+                if b[c] >= 0:
+                    continue
+                vec = [-b[c] * u + a[c] * v for u, v in zip(a, b)]
+                g = math.gcd(*vec)
+                nxt.append(([u // g for u in vec] if g > 1 else vec, sa | sb))
+        table = _minimal_supports(nxt)
+    return False
 
 
 def minimal_siphons(net: ReactionNetwork,
                     cap: int = MAX_SPECIES_EXACT) -> list[SiphonSet]:
     """All inclusion-minimal nonempty siphons, exactly.
 
-    Subsets are enumerated in order of increasing size with domination
-    pruning (supersets of an already-found siphon are skipped), which is
-    exact and fast for the sparse minimal families typical of these
-    networks. Refuses networks above `cap` species.
+    A branching closure (after Nabli, Fages, Martinez & Soliman, Constraints
+    2016) grows each singleton {i}: while some reaction produces a member
+    but consumes none, every siphon containing the current set contains one
+    of that reaction's source species, so the search branches on them (and
+    dies on a reaction with no source). Every minimal siphon is reached from
+    each of its members; the inclusion-minimal sets found are returned by
+    size, then by indices. Refuses networks above `cap` species.
 
     Each returned siphon carries a criticality flag: critical means its
     members do not jointly support a nonnegative conservation law of the
-    stoichiometry (checked by a small feasibility LP).
+    stoichiometry (decided by exact integer elimination, see
+    `_has_conservation_support`).
     """
     n = net.n_species
     if n > cap:
         raise TooManySpecies(f"exact enumeration capped at {cap} species, got {n}")
-    Gamma = net.Gamma
-    src = net.source_matrix
-    prod_masks = []
-    cons_masks = []
-    for r in range(net.n_reactions):
-        prod_masks.append(int(sum(1 << i for i in np.flatnonzero(Gamma[:, r] > 0))))
-        cons_masks.append(int(sum(1 << i for i in np.flatnonzero(src[:, r] > 0))))
 
+    def mask_of(column) -> int:
+        return sum(1 << int(i) for i in np.flatnonzero(column))
+
+    masks = [(mask_of(net.Gamma[:, r] > 0), mask_of(net.source_matrix[:, r] > 0))
+             for r in range(net.n_reactions)]
     found: list[int] = []
-    out: list[SiphonSet] = []
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            mask = sum(1 << i for i in combo)
-            if any((mask & f) == f for f in found):
-                continue
-            if all((mask & p) == 0 or (mask & c) != 0
-                   for p, c in zip(prod_masks, cons_masks)):
-                found.append(mask)
-                out.append(SiphonSet(
-                    indices=combo,
-                    species=tuple(net.species[i] for i in combo),
-                    critical=not _has_conservation_support(net, combo),
-                ))
-    return out
+    seen: set[int] = set()
+    stack = [1 << i for i in range(n)]
+    while stack:
+        mask = stack.pop()
+        if mask in seen or any(mask & f == f for f in found):
+            continue
+        seen.add(mask)
+        # Of the reactions feeding the set without drawing on it, branch on
+        # the one with the fewest source species.
+        branch = None
+        for produced, consumed in masks:
+            if mask & produced and not mask & consumed and (
+                    branch is None or consumed.bit_count() < branch.bit_count()):
+                branch = consumed
+        if branch is None:
+            found = [f for f in found if mask & f != mask] + [mask]
+        else:
+            stack.extend(mask | 1 << j for j in range(n) if branch >> j & 1)
+    combos = sorted((tuple(i for i in range(n) if f >> i & 1) for f in found),
+                    key=lambda c: (len(c), c))
+    return [SiphonSet(indices=combo,
+                      species=tuple(net.species[i] for i in combo),
+                      critical=not _has_conservation_support(net, combo))
+            for combo in combos]
 
 
 def total_siphon(net: ReactionNetwork,

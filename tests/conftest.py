@@ -3,9 +3,9 @@
 Builders produce random valid models of each transmission-rank class from a
 caller-supplied seeded generator. Oracles deliberately avoid the library
 code paths they are used to check: siphons are re-derived by a power-set
-filter, equilibria by multi-start root finding on the raw vector field,
-Jacobians by finite differences, and amplitude-law root counts by a dense
-sign scan.
+filter, mass-action rates by a per-reaction loop, equilibria by multi-start
+root finding on the raw vector field, Jacobians by finite differences, and
+amplitude-law root counts by a dense sign scan.
 """
 
 from __future__ import annotations
@@ -121,6 +121,33 @@ def oracle_minimal_siphons(net) -> list[tuple[int, ...]]:
     minimal = [s for s in all_siphons
                if not any(o < s for o in all_siphons)]
     return sorted(tuple(sorted(s)) for s in minimal)
+
+
+def oracle_mass_action_rates(net, x) -> np.ndarray:
+    """Mass-action rates by a per-reaction loop over the source species.
+
+    Each rate starts at the rate constant and is multiplied by x_i ** s_i
+    in increasing species order; the library's vectorised rates must round
+    exactly as this does.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape[:-1] + (net.n_reactions,))
+    for r_idx, rxn in enumerate(net.reactions):
+        rate = np.full(x.shape[:-1], rxn.rate_constant)
+        for i in np.flatnonzero(rxn.source):
+            rate = rate * x[..., i] ** rxn.source[i]
+        out[..., r_idx] = rate
+    return out
+
+
+def oracle_mass_action_rhs(net, x) -> np.ndarray:
+    """Field of the loop rates, with Gamma rebuilt from the reactions."""
+    if net.reactions:
+        Gamma = (np.array([r.output for r in net.reactions]).T
+                 - np.array([r.source for r in net.reactions]).T)
+    else:
+        Gamma = np.zeros((net.n_species, 0))
+    return oracle_mass_action_rates(net, x) @ Gamma.T
 
 
 def oracle_fd_jacobian(rhs, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 import bbepi as bb
-from bbepi.crn import Reaction, ReactionNetwork, dfe_closure
-from conftest import oracle_fd_jacobian, oracle_minimal_siphons
+from bbepi.crn import (Reaction, ReactionNetwork, _has_conservation_support,
+                       dfe_closure)
+from conftest import (oracle_fd_jacobian, oracle_mass_action_rates,
+                      oracle_mass_action_rhs, oracle_minimal_siphons)
 
 SIRS = """
 # susceptible-infected-recovered with waning immunity
@@ -26,22 +31,35 @@ r -> s : 0.5
 """
 
 
-def random_network(rng, n_species: int, n_reactions: int) -> ReactionNetwork:
+def random_network(rng, n_species: int, n_reactions: int,
+                   max_count: int = 2) -> ReactionNetwork:
     """Random sparse network; only the support pattern matters for siphons."""
     reactions = []
     for _ in range(n_reactions):
         src = np.zeros(n_species)
         out = np.zeros(n_species)
         for i in rng.choice(n_species, size=int(rng.integers(0, 3)), replace=False):
-            src[i] = float(rng.integers(1, 3))
+            src[i] = float(rng.integers(1, max_count + 1))
         for i in rng.choice(n_species, size=int(rng.integers(0, 3)), replace=False):
-            out[i] = float(rng.integers(1, 3))
+            out[i] = float(rng.integers(1, max_count + 1))
         if not src.any() and not out.any():
             out[int(rng.integers(n_species))] = 1.0
         reactions.append(Reaction(source=src, output=out,
                                   rate_constant=float(rng.uniform(0.5, 2.0))))
     return ReactionNetwork(species=tuple(f"x{i}" for i in range(n_species)),
                            reactions=tuple(reactions))
+
+
+def staged_network(k: int) -> ReactionNetwork:
+    """Susceptible s, stages i1..ik, recovered r; every stage infects into i1."""
+    stages = [f"i{j}" for j in range(1, k + 1)]
+    lines = [f"species: s {' '.join(stages)} r", "-> s : 10.0", "s -> : 10.0",
+             "r -> s : 1.0", "r -> : 10.0"]
+    for j, name in enumerate(stages, start=1):
+        lines.append(f"s + {name} -> {'2 i1' if j == 1 else 'i1 + ' + name} : 0.1")
+        lines.append(f"{name} -> {stages[j] if j < k else 'r'} : 1.0")
+        lines.append(f"{name} -> : 0.1")
+    return bb.parse_reactions("\n".join(lines))
 
 
 # ---------------------------------------------------------------- parsing
@@ -128,6 +146,36 @@ def test_rhs_batched_matches_loop():
         assert batch[k] == pytest.approx(net.rhs(X[k]), abs=1e-14)
 
 
+MULTIPLICITY = """
+species: a b c
+-> a : 0.7
+2 a + b -> 3 c : 1.3
+3 b -> a + b : 0.45
+a + 2 b + 3 c -> : 2.1
+c -> 2 b : 1.9
+"""
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (40,), (3, 5)])
+def test_mass_action_field_keeps_the_loop_bits(shape):
+    rng = np.random.default_rng(14)
+    nets = [bb.parse_reactions(MULTIPLICITY), bb.parse_reactions(SIRS_DEMOGRAPHY)]
+    nets += [random_network(rng, n, 2 * n, max_count=3) for n in (2, 5, 9)]
+    for net in nets:
+        x = rng.uniform(0.0, 3.0, size=shape + (net.n_species,))
+        x[rng.random(x.shape) < 0.2] = 0.0
+        assert np.array_equal(net.rates(x), oracle_mass_action_rates(net, x))
+        assert np.array_equal(net.rhs(x), oracle_mass_action_rhs(net, x))
+
+
+def test_reactionless_network_field():
+    net = ReactionNetwork(species=("a", "b"), reactions=())
+    for x in (np.ones(2), np.ones((4, 2))):
+        assert net.rates(x).shape == x.shape[:-1] + (0,)
+        assert np.array_equal(net.rhs(x), oracle_mass_action_rhs(net, x))
+        assert not net.rhs(x).any()
+
+
 def test_load_reactions_roundtrip(tmp_path):
     path = tmp_path / "net.rxn"
     path.write_text(SIRS)
@@ -187,6 +235,75 @@ def test_minimal_siphons_species_cap():
                           reactions=())
     with pytest.raises(bb.TooManySpecies):
         bb.minimal_siphons(net)
+
+
+@st.composite
+def networks(draw, max_species: int = 10) -> ReactionNetwork:
+    n = draw(st.integers(1, max_species))
+    side = st.dictionaries(st.integers(0, n - 1), st.integers(1, 2), max_size=2)
+    reactions = []
+    for src_terms, out_terms in draw(st.lists(st.tuples(side, side), max_size=2 * n)):
+        src, out = np.zeros(n), np.zeros(n)
+        src[list(src_terms)] = list(src_terms.values())
+        out[list(out_terms)] = list(out_terms.values())
+        if src.any() or out.any():
+            reactions.append(Reaction(source=src, output=out, rate_constant=1.0))
+    return ReactionNetwork(species=tuple(f"x{i}" for i in range(n)),
+                           reactions=tuple(reactions))
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(networks())
+def test_minimal_siphons_match_power_set_oracle_on_drawn_networks(net):
+    got = [s.indices for s in bb.minimal_siphons(net)]
+    # Output order is by size, then by indices.
+    assert got == sorted(oracle_minimal_siphons(net), key=lambda c: (len(c), c))
+
+
+def test_staged_network_at_the_cap_has_only_the_stage_block():
+    net = staged_network(22)
+    assert net.n_species == bb.crn.MAX_SPECIES_EXACT
+    sips = bb.minimal_siphons(net)
+    assert [s.indices for s in sips] == [tuple(range(1, 23))]
+    assert sips[0].critical  # every stage has its own outflow
+
+
+def lp_conservation_support(net: ReactionNetwork, members) -> bool:
+    """Feasibility LP: y >= 0, y^T Gamma[members] = 0, sum y = 1."""
+    sub = net.Gamma[list(members), :]
+    k = len(members)
+    A_eq = np.vstack([sub.T, np.ones((1, k))])
+    b_eq = np.concatenate([np.zeros(sub.shape[1]), [1.0]])
+    res = linprog(c=np.zeros(k), A_eq=A_eq, b_eq=b_eq,
+                  bounds=[(0, None)] * k, method="highs")
+    return res.status == 0
+
+
+def test_conservation_support_matches_linprog():
+    rng = np.random.default_rng(15)
+    verdicts = []
+    for _ in range(300):
+        n = int(rng.integers(2, 12))
+        net = random_network(rng, n, int(rng.integers(1, 3 * n)), max_count=3)
+        members = tuple(sorted(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                          replace=False).tolist()))
+        verdict = _has_conservation_support(net, members)
+        assert verdict == lp_conservation_support(net, members), (net, members)
+        verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_conservation_support_is_exact_for_fractional_stoichiometry():
+    # 0.5 a -> b and b -> 0.5 a conserve a + 2 b; 0.1 is not a binary
+    # fraction, yet 0.1 a -> 0.1 b conserves a + b exactly.
+    half = ReactionNetwork(species=("a", "b"), reactions=(
+        Reaction(source=[0.5, 0.0], output=[0.0, 1.0], rate_constant=1.0),
+        Reaction(source=[0.0, 1.0], output=[0.5, 0.0], rate_constant=1.0)))
+    assert _has_conservation_support(half, (0, 1))
+    assert not _has_conservation_support(half, (0,))
+    tenth = ReactionNetwork(species=("a", "b"), reactions=(
+        Reaction(source=[0.1, 0.0], output=[0.0, 0.1], rate_constant=1.0),))
+    assert _has_conservation_support(tenth, (0, 1))
 
 
 def test_criticality_flags_conserved_pair():
