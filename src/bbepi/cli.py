@@ -11,11 +11,13 @@ scan      sweep one scalar matrix entry and tabulate the endemic amplitude
           fails keeps its row, with a note).
 siphons   enumerate minimal siphons of a reaction network, with face
           Jacobian blocks where a face equilibrium is found; writes
-          siphons.txt and siphons.json.
+          siphons.txt and siphons.json (a face whose settling fails keeps
+          its entry, with the error).
 simulate  integrate one trajectory; writes trajectory.csv.
 
 Inputs are either a matrix-bundle JSON file (extension .model or .json) or
-a reaction text file (.rxn); --input-format overrides the extension guess.
+a reaction text file (.rxn); --input-format overrides the extension guess
+(siphons reads reaction files only).
 Exit codes: 0 success (and true verdicts), 1 certificate verdict false, and
 otherwise the ``exit_code`` of the AnalysisError that ended the run (see
 bbepi.errors): 2 parse, shape or validation failure (bad flags and
@@ -375,23 +377,30 @@ def cmd_siphons(args) -> int:
     lines.append(f"total siphon: {_names(total)}")
     lines.append(f"dfe closure: {_names(closure)}")
     lines += ["", "face Jacobian blocks:"]
+
+    def unfound(s, error: str | None = None) -> None:
+        lines.append(f"  {_names(s.indices)}: {error or 'no face equilibrium settled'}")
+        entry = {"siphon": list(s.species), "found": False}
+        doc["face_blocks"].append(entry if error is None else {**entry, "error": error})
+
+    # A face whose settling fails keeps its entry, with the error; the run
+    # still fails, after the write, with the first such error.
+    failures = []
     for s in minimal:
         try:
             x_eq = _face_equilibrium(net, s.indices, args.horizon)
         except (PositivityViolation, StepUnderflow) as exc:
-            raise type(exc)(
-                f"settling the face of {_names(s.indices)}: {exc}") from exc
+            failures.append(
+                type(exc)(f"settling the face of {_names(s.indices)}: {exc}"))
+            unfound(s, str(failures[-1]))
+            continue
         if x_eq is None:
-            lines.append(f"  {_names(s.indices)}: no face equilibrium settled")
-            doc["face_blocks"].append(
-                {"siphon": list(s.species), "found": False})
+            unfound(s)
             continue
         try:
             blocks = crn.face_block_jacobian(net.rhs, s.indices, x_eq)
         except AnalysisError as exc:
-            lines.append(f"  {_names(s.indices)}: {exc}")
-            doc["face_blocks"].append(
-                {"siphon": list(s.species), "found": False, "error": str(exc)})
+            unfound(s, str(exc))
             continue
         sa = float(np.max(np.linalg.eigvals(blocks.J_perp).real)) \
             if blocks.J_perp.size else float("-inf")
@@ -408,6 +417,9 @@ def cmd_siphons(args) -> int:
     _write(out_dir, "siphons.json", _json_text(doc))
     print(f"minimal siphons: {len(minimal)}")
     print(f"total siphon: {_names(total)}")
+    if failures:
+        print(f"failed faces: {len(failures)}")
+        raise failures[0]
     return EXIT_OK
 
 
@@ -452,15 +464,19 @@ def _positive(cast):
     return positive
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("input", help="model bundle (.model/.json) or reaction file (.rxn)")
+def _add_common(p: argparse.ArgumentParser, model_input: bool = True,
+                i_species: bool = True):
+    """The input path and --out; --input-format and --i-species where read."""
+    p.add_argument("input", help="model bundle (.model/.json) or reaction file (.rxn)"
+                   if model_input else "reaction file (.rxn)")
     p.add_argument("--out", default=".", help="output directory (default: .)")
-    p.add_argument("--input-format", choices=["model", "rxn"], default=None,
-                   help="override the extension-based input format guess")
-    p.add_argument("--i-species", default=None,
-                   help="comma-separated infection species for .rxn inputs "
-                        "(default: union of minimal siphons)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    if model_input:
+        p.add_argument("--input-format", choices=["model", "rxn"], default=None,
+                       help="override the extension-based input format guess")
+    if model_input and i_species:
+        p.add_argument("--i-species", default=None,
+                       help="comma-separated infection species for .rxn inputs "
+                            "(default: union of minimal siphons)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -487,6 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectories", type=_positive(int), default=20)
     p.add_argument("--horizon", type=_positive(float), default=200.0)
     p.add_argument("--step", type=_positive(float), default=0.01)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.set_defaults(func=cmd_lyapunov)
 
     p = sub.add_parser("scan", help="sweep one matrix entry, tabulate roots")
@@ -497,13 +514,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("siphons", help="siphon and face structure report")
-    _add_common(p)
+    _add_common(p, model_input=False)
     p.add_argument("--horizon", type=_positive(float), default=200.0,
                    help="settling horizon for face equilibria")
     p.set_defaults(func=cmd_siphons)
 
     p = sub.add_parser("simulate", help="integrate one trajectory to CSV")
-    _add_common(p)
+    _add_common(p, i_species=False)
     p.add_argument("--x0", required=True, help="initial state, comma separated")
     p.add_argument("--horizon", type=_positive(float), default=100.0)
     p.add_argument("--step", type=_positive(float), default=0.01)

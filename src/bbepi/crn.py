@@ -12,9 +12,9 @@ equilibria on the face inherit a block-triangular structure. Siphons whose
 members do not jointly support a nonnegative conservation law ("critical"
 siphons) are the candidate extinction faces.
 
-network_to_bilinear recognizes networks whose mass-action dynamics reduce to
-the balanced bilinear susceptible/infection form and extracts the matrix
-bundle exactly.
+network_to_bilinear reads the balanced bilinear susceptible/infection matrix
+bundle straight off the reactions: each reaction is one monomial of the form
+(inflow, a linear flow, or one contact S_i I_j), anything else is rejected.
 """
 
 from __future__ import annotations
@@ -28,15 +28,13 @@ import numpy as np
 from .errors import (NegativeRate, NotBalancedBilinear, NotEquilibrium,
                      NotInvariantFace, ParseError, TooManySpecies,
                      UnknownSpecies)
-from .model import BilinearModel
+from .model import COLSUM_TOL, BilinearModel
 
 MAX_SPECIES_EXACT = 24
 FACE_EQ_TOL = 1e-9
 FACE_SAMPLE_TOL = 1e-9
 OFF_BLOCK_TOL = 1e-7
 FD_STEP = 1e-6
-ROUNDTRIP_TOL = 1e-9
-COLSUM_TOL = 1e-9
 
 _TERM_RE = re.compile(r"^\s*(\d+)?\s*([A-Za-z_]\w*)\s*$")
 
@@ -493,31 +491,44 @@ class SpeciesSplit:
         return {"s_species": list(self.s_species), "i_species": list(self.i_species)}
 
 
-def network_to_bilinear(net: ReactionNetwork,
-                        i_species: tuple[str, ...] | None = None,
-                        rng_seed: int = 0,
-                        tol: float = ROUNDTRIP_TOL
-                        ) -> tuple[BilinearModel, SpeciesSplit]:
-    """Extract the balanced bilinear matrix bundle from a mass-action network.
+def _reaction_text(net: ReactionNetwork, rxn: Reaction) -> str:
+    """A reaction as its file line without the rate, e.g. `2 i -> i`."""
+    def side(v) -> str:
+        return " + ".join((f"{c:g} " if c != 1 else "") + net.species[i]
+                          for i, c in enumerate(v.tolist()) if c)
+    return f"{side(rxn.source)} -> {side(rxn.output)}".strip()
 
-    The infection block defaults to the union of the network's minimal
-    siphons; pass i_species to override. The mass-action field is probed at
-    basis states, which determines every matrix exactly when the dynamics
-    really are of the form
+
+def network_to_bilinear(net: ReactionNetwork,
+                        i_species: tuple[str, ...] | None = None
+                        ) -> tuple[BilinearModel, SpeciesSplit]:
+    """Read the balanced bilinear matrix bundle off a mass-action network.
+
+    The infection block defaults to the union of the minimal siphons; pass
+    i_species to override. Each column of the form
 
         S' = Lambda + A_S S - Diag(S) B I + C I
-        I' = P Diag(S) B I + A I,
+        I' = P Diag(S) B I + A I
 
-    and the result is audited two ways: the extracted P must be
-    column-stochastic (the "balanced" in the name: infections leaving S all
-    land in I), and the reassembled field must match the network's field at
-    seeded random states. Saturating or higher-order kinetics fail the
-    audit.
+    multiplies one monomial, and so does each reaction: its source (every
+    multiplicity 1) decides where its change k Gamma[:, r] is added.
+    - empty: Lambda; the infection block may not change;
+    - susceptible s: A_S[:, s]; the infection block may not change;
+    - infection j: A[:, j] (infection rows) and C[:, j] (susceptible rows);
+    - contact s + j: B[s, j] is minus the change of s, no other susceptible
+      may change, and the infection rows add to P[:, s] B[s, j].
+    A reaction that changes nothing is skipped. P[:, s] is read at the
+    largest |B[s, j]| (1/n for a class that transmits nothing); the other
+    contacts of s must route alike, and P must be column-stochastic (the
+    "balanced": every infection leaving S lands in I). A reaction with no
+    infection species in its source cannot lower one, so no reaction can
+    undo a rejected change: the model's field is the network's by construction.
 
     Raises
     ------
     NotBalancedBilinear
-        When the audit fails or the structure cannot be extracted.
+        Naming a reaction outside the form, or on routing that differs
+        between infection species or is not column-stochastic.
     """
     if i_species is None:
         i_idx = total_siphon(net)
@@ -527,75 +538,63 @@ def network_to_bilinear(net: ReactionNetwork,
     if not i_idx or not s_idx:
         raise NotBalancedBilinear("need at least one susceptible and one infection species")
     m, n = len(s_idx), len(i_idx)
+    s_rows, i_rows = list(s_idx), list(i_idx)
 
-    def f_split(x_s, x_i):
-        x = np.zeros(net.n_species)
-        x[list(s_idx)] = x_s
-        x[list(i_idx)] = x_i
-        f = net.rhs(x)
-        return f[list(s_idx)], f[list(i_idx)]
-
-    zero_s, zero_i = np.zeros(m), np.zeros(n)
-    Lam, fI0 = f_split(zero_s, zero_i)
-    if np.max(np.abs(fI0)) > tol:
-        raise NotBalancedBilinear("infection block has constant inflow")
-
-    A_S = np.empty((m, m))
-    for i in range(m):
-        e = zero_s.copy(); e[i] = 1.0
-        A_S[:, i] = f_split(e, zero_i)[0] - Lam
-    A = np.empty((n, n))
-    C = np.empty((m, n))
-    for j in range(n):
-        e = zero_i.copy(); e[j] = 1.0
-        fS, fI = f_split(zero_s, e)
-        A[:, j] = fI
-        C[:, j] = fS - Lam
-
-    B = np.empty((m, n))
-    W = np.empty((n, m, n))  # W[:, i, j] = p_i * B[i, j]
-    for i in range(m):
-        es = zero_s.copy(); es[i] = 1.0
-        for j in range(n):
-            ei = zero_i.copy(); ei[j] = 1.0
-            fS, fI = f_split(es, ei)
-            B[i, j] = -(fS - Lam - A_S[:, i] - C[:, j])[i] + 0.0
-            W[:, i, j] = fI - A[:, j]
-
-    P = np.empty((n, m))
-    for i in range(m):
-        j = int(np.argmax(np.abs(B[i, :])))
-        if B[i, j] == 0.0:
-            P[:, i] = 1.0 / n  # class transmits nothing; routing unconstrained
+    Lam, A_S, C = np.zeros(m), np.zeros((m, m)), np.zeros((m, n))
+    A, B = np.zeros((n, n)), np.zeros((m, n))
+    W = np.zeros((n, m, n))  # W[:, s, j] = P[:, s] * B[s, j]
+    contact: dict[tuple[int, int], Reaction] = {}
+    for r, rxn in enumerate(net.reactions):
+        if not net.Gamma[:, r].any():
+            continue
+        delta = rxn.rate_constant * net.Gamma[:, r]
+        d_s, d_i = delta[s_rows], delta[i_rows]
+        src_s = tuple(np.flatnonzero(rxn.source[s_rows]))
+        src_i = tuple(np.flatnonzero(rxn.source[i_rows]))
+        why = None
+        if len(src_s) > 1 or len(src_i) > 1 or \
+                np.any(rxn.source[rxn.source != 0.0] != 1.0):
+            why = "has a source other than empty, s, i or s + i"
+        elif not src_i and d_i.any():
+            why = "is an inflow into the infection block"
+        elif src_s and src_i and np.delete(d_s, src_s[0]).any():
+            why = "is a contact that changes a susceptible species outside its source"
+        if why:
+            raise NotBalancedBilinear(
+                f"reaction '{_reaction_text(net, rxn)}' {why}; not balanced bilinear")
+        if not src_i:
+            column = A_S[:, src_s[0]] if src_s else Lam
+            column += d_s
+        elif not src_s:
+            A[:, src_i[0]] += d_i
+            C[:, src_i[0]] += d_s
         else:
-            P[:, i] = W[:, i, j] / B[i, j]
+            s, j = src_s[0], src_i[0]
+            B[s, j] -= d_s[s]
+            W[:, s, j] += d_i
+            contact.setdefault((s, j), rxn)
 
-    model = BilinearModel(A=A, A_S=A_S, B=B, P=P, Lambda=Lam, C=C)
+    P = np.full((n, m), 1.0 / n)
+    for s in range(m):
+        j = int(np.argmax(np.abs(B[s, :])))
+        if B[s, j] != 0.0:
+            P[:, s] = W[:, s, j] / B[s, j]
+    gap = np.abs(W - P[:, :, None] * B).max(axis=0)
+    if gap.max() > COLSUM_TOL * np.abs(W).max():
+        s, j = np.unravel_index(np.argmax(gap), gap.shape)
+        raise NotBalancedBilinear(
+            f"reaction '{_reaction_text(net, contact[s, j])}' routes new "
+            f"infections unlike the other contacts of {net.species[s_idx[s]]} "
+            f"(by {gap[s, j]:.3e}); not balanced bilinear")
     colsum_err = float(np.max(np.abs(P.sum(axis=0) - 1.0)))
     if colsum_err > COLSUM_TOL:
         raise NotBalancedBilinear(
             f"extracted routing matrix is not column-stochastic "
             f"(max |colsum - 1| = {colsum_err:.3e}); dynamics are bilinear but "
-            f"not balanced"
-        )
-
-    rng = np.random.default_rng(rng_seed)
-    X = rng.uniform(0.0, 2.0, size=(100, net.n_species))
-    f_net = net.rhs(X)
-    stacked = np.concatenate([X[:, list(s_idx)], X[:, list(i_idx)]], axis=1)
-    f_mod = model.rhs(stacked)
-    f_mod_net_order = np.empty_like(f_net)
-    f_mod_net_order[:, list(s_idx)] = f_mod[:, :m]
-    f_mod_net_order[:, list(i_idx)] = f_mod[:, m:]
-    gap = float(np.max(np.abs(f_net - f_mod_net_order)))
-    if gap > tol * max(1.0, float(np.max(np.abs(f_net)))):
-        raise NotBalancedBilinear(
-            f"reassembled field mismatches the network by {gap:.3e}; "
-            f"kinetics are not balanced bilinear"
-        )
+            f"not balanced")
     split = SpeciesSplit(
         s_indices=s_idx, i_indices=i_idx,
         s_species=tuple(net.species[i] for i in s_idx),
         i_species=tuple(net.species[i] for i in i_idx),
     )
-    return model, split
+    return BilinearModel(A=A, A_S=A_S, B=B, P=P, Lambda=Lam, C=C), split

@@ -297,28 +297,9 @@ def validate_accessibility(model: BilinearModel) -> AccessReport:
     s_entry = np.flatnonzero(model.Lambda > 0.0)
     i_entry = np.flatnonzero(model.P.sum(axis=1) > 0.0)
     return AccessReport(
-        s_accessible=_reachable(model.A_S, s_entry),
-        i_accessible=_reachable(model.A, i_entry),
+        s_accessible=spectral.reachable(model.A_S > 0.0, s_entry),
+        i_accessible=spectral.reachable(model.A > 0.0, i_entry),
     )
-
-
-def _reachable(M: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    # Edge i -> j whenever M[j, i] > 0 off the diagonal.
-    k = M.shape[0]
-    seen = np.zeros(k, dtype=bool)
-    frontier = list(sources)
-    seen[list(sources)] = True
-    adj = M > 0.0
-    np.fill_diagonal(adj, False)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in np.flatnonzero(adj[:, i]):
-                if not seen[j]:
-                    seen[j] = True
-                    nxt.append(j)
-        frontier = nxt
-    return seen
 
 
 def classify_rank(model: BilinearModel, tol: float = RANK_TOL) -> RankClass:

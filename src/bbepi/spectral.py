@@ -83,20 +83,21 @@ def is_irreducible(M: np.ndarray) -> bool:
     Diagonal entries are ignored. A 1x1 matrix counts as irreducible.
     """
     M = np.asarray(M, dtype=float)
-    k = M.shape[0]
-    if k == 1:
+    if M.shape[0] == 1:
         return True
-    mask = M != 0.0
-    np.fill_diagonal(mask, False)
-    return _reaches_all(mask, 0) and _reaches_all(mask.T, 0)
+    adj = M != 0.0
+    np.fill_diagonal(adj, False)
+    return bool(reachable(adj, [0]).all() and reachable(adj.T, [0]).all())
 
 
-def _reaches_all(adj: np.ndarray, start: int) -> bool:
-    # adj[j, i] True means an edge i -> j; BFS over columns.
-    k = adj.shape[0]
-    seen = np.zeros(k, dtype=bool)
-    seen[start] = True
-    frontier = [start]
+def reachable(adj: np.ndarray, sources) -> np.ndarray:
+    """Mask of nodes reached from `sources`; adj[j, i] True is an edge i -> j.
+
+    Breadth-first over columns; self-loops (the diagonal) never matter.
+    """
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    frontier = list(sources)
+    seen[frontier] = True
     while frontier:
         nxt = []
         for i in frontier:
@@ -105,7 +106,7 @@ def _reaches_all(adj: np.ndarray, start: int) -> bool:
                     seen[j] = True
                     nxt.append(j)
         frontier = nxt
-    return bool(seen.all())
+    return seen
 
 
 def perron(M: np.ndarray) -> SpectralData:

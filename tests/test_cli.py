@@ -371,6 +371,51 @@ def test_siphons_face_leaving_orthant_exits_3(tmp_path, capsys):
     assert "orthant" in capsys.readouterr().err
 
 
+def test_siphons_failed_faces_keep_the_report(tmp_path, capsys):
+    # Settling both faces of this random network leaves the orthant; each
+    # face keeps its entry and the run still exits 3 after writing both files.
+    net = random_network(np.random.default_rng(16), 16, 32)
+
+    def side(v):
+        return " + ".join((f"{int(c)} " if c > 1 else "") + net.species[i]
+                          for i, c in enumerate(v) if c > 0)
+
+    lines = ["species: " + " ".join(net.species)]
+    lines += [f"{side(r.source)} -> {side(r.output)} : {r.rate_constant!r}"
+              for r in net.reactions]
+    path = tmp_path / "random16.rxn"
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["siphons", str(path), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "failed faces: 2" in captured.out
+    assert captured.err.startswith("error: settling the face of {x1}: ")
+    faces = json.loads((tmp_path / "siphons.json").read_text())["face_blocks"]
+    assert [f["siphon"] for f in faces] == [["x1"], ["x11"]]
+    text = (tmp_path / "siphons.txt").read_text()
+    for face, name in zip(faces, ("{x1}", "{x11}")):
+        assert face["found"] is False
+        assert face["error"].startswith(f"settling the face of {name}: ")
+        assert "orthant" in face["error"]
+        assert f"  {name}: {face['error']}" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "m.model", "--seed", "1"],
+    ["scan", "m.model", "--entry", "B[0,0]", "--grid", "1:2:2", "--seed", "1"],
+    ["simulate", "m.model", "--x0", "1,0", "--i-species", "i"],
+    ["simulate", "m.model", "--x0", "1,0", "--seed", "1"],
+    ["siphons", "n.rxn", "--input-format", "rxn"],
+    ["siphons", "n.rxn", "--i-species", "i"],
+    ["siphons", "n.rxn", "--seed", "1"],
+])
+def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- simulate
 
 def test_simulate_reaction_network_csv(tmp_path, rxn_path):

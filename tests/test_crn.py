@@ -457,6 +457,104 @@ def test_network_to_bilinear_needs_both_blocks():
         bb.network_to_bilinear(net, i_species=("s", "i"))
 
 
+def balanced_network(rng) -> tuple[str, tuple[str, ...], dict]:
+    """A balanced bilinear network with non-dyadic rates and its bundle.
+
+    Each expected entry is accumulated in reaction order, as the extraction
+    does, so the two agree exactly. P is the intended routing.
+    """
+    m, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    S = [f"s{k}" for k in range(m)]
+    I = [f"i{j}" for j in range(n)]
+    exp = {"Lambda": np.zeros(m), "A_S": np.zeros((m, m)), "C": np.zeros((m, n)),
+           "A": np.zeros((n, n)), "B": np.zeros((m, n)), "P": np.zeros((n, m))}
+    lines = ["species: " + " ".join(S + I)]
+
+    def rate() -> float:
+        return float(rng.uniform(0.1, 3.0))
+
+    for k, s in enumerate(S):
+        lam, out = rate(), rate()
+        lines += [f"-> {s} : {lam!r}", f"{s} -> : {out!r}"]
+        exp["Lambda"][k] += lam
+        exp["A_S"][k, k] -= out
+        for l, t in enumerate(S):
+            if l != k and rng.random() < 0.5:
+                flow = rate()
+                lines.append(f"{s} -> {t} : {flow!r}")
+                exp["A_S"][k, k] -= flow
+                exp["A_S"][l, k] += flow
+    for j, i in enumerate(I):
+        out = rate()
+        lines.append(f"{i} -> : {out!r}")
+        exp["A"][j, j] -= out
+        for t in I + S:
+            if t != i and rng.random() < 0.5:
+                flow = rate()
+                lines.append(f"{i} -> {t} : {flow!r}")
+                exp["A"][j, j] -= flow
+                if t in I:
+                    exp["A"][I.index(t), j] += flow
+                else:
+                    exp["C"][S.index(t), j] += flow
+    for k, s in enumerate(S):
+        exp["P"][:, k] = rng.dirichlet(np.ones(n))
+        for j, i in enumerate(I):
+            beta = rate()
+            for l, dest in enumerate(I):
+                share = float(beta * exp["P"][l, k])
+                lines.append(f"{s} + {i} -> {'2 ' + i if l == j else i + ' + ' + dest}"
+                             f" : {share!r}")
+                exp["B"][k, j] += share
+    return "\n".join(lines) + "\n", tuple(I), exp
+
+
+def test_network_to_bilinear_reads_summed_rate_constants():
+    rng = np.random.default_rng(20)
+    for _ in range(40):
+        text, i_species, exp = balanced_network(rng)
+        net = bb.parse_reactions(text)
+        model, split = bb.network_to_bilinear(net, i_species=i_species)
+        for name in ("Lambda", "A_S", "C", "A", "B"):
+            assert np.array_equal(getattr(model, name), exp[name]), name
+        assert model.P == pytest.approx(exp["P"], abs=1e-12)
+        X = rng.uniform(0.0, 2.0, size=(20, net.n_species))
+        order = list(split.s_indices) + list(split.i_indices)
+        assert np.max(np.abs(model.rhs(X[:, order]) - net.rhs(X)[:, order])) < 1e-12
+
+
+@pytest.mark.parametrize("text, i_species, named", [
+    ("-> s : 1.0\ns -> i : 0.3\ns + i -> 2 i : 2.0\ni -> : 1.0\n",
+     ("i",), "'s -> i'"),
+    ("-> s : 1.0\ns + i -> 2 i : 2.0\ns + i -> i + r : 0.7\ni -> : 1.0\n"
+     "r -> : 1.0\n", ("i",), "'s + i -> i + r'"),
+    ("-> s : 1.0\ns + a -> 2 a : 2.0\ns + b -> 2 b : 1.0\na -> : 1.0\n"
+     "b -> : 1.0\n", ("a", "b"), "'s + b -> 2 b'"),
+    ("-> s : 1.0\n2 s -> s : 0.1\ns + i -> 2 i : 2.0\ni -> : 1.0\n",
+     ("i",), "'2 s -> s'"),
+    ("-> s : 1.0\ns + i + r -> 2 i + r : 2.0\ni -> r : 1.0\nr -> : 1.0\n",
+     ("i",), "'s + i + r -> 2 i + r'"),
+], ids=["s-driven-inflow", "contact-moves-r", "routing-by-j", "square-source",
+        "three-species"])
+def test_network_to_bilinear_names_the_rejected_reaction(text, i_species, named):
+    with pytest.raises(bb.NotBalancedBilinear) as err:
+        bb.network_to_bilinear(bb.parse_reactions(text), i_species=i_species)
+    assert named in str(err.value)
+    assert "not balanced bilinear" in str(err.value)
+
+
+def test_network_to_bilinear_evaluates_no_field(monkeypatch):
+    net = bb.parse_reactions(SIRS_DEMOGRAPHY)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("field evaluated")
+
+    monkeypatch.setattr(ReactionNetwork, "rhs", fail)
+    monkeypatch.setattr(ReactionNetwork, "rates", fail)
+    model, _ = bb.network_to_bilinear(net)
+    assert model.B[0, 0] == 2.5
+
+
 def test_extracted_model_analysis_chain():
     # The conversion feeds straight into the analysis pipeline.
     net = bb.parse_reactions(SIRS_DEMOGRAPHY)
