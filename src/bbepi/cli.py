@@ -134,8 +134,7 @@ def cmd_analyze(args) -> int:
     out_dir = Path(args.out)
     model, names, split = _load_any(args)
 
-    validation = validate_model(model, hurwitz_tol=args.tol_hurwitz,
-                                colsum_tol=args.tol_colsum)
+    validation = validate_model(model)
     access = validate_accessibility(model)
     lines = ["balanced bilinear model analysis", f"input: {args.input}", ""]
     lines.append("[validation]")
@@ -209,8 +208,7 @@ def cmd_analyze(args) -> int:
     if model.m == 1 and rank.tag is not RankTag.GENERAL \
             and not np.any(model.C != 0.0) and report.R0 > 1.0:
         try:
-            det_law = eq.determinant_law(model, rank, report,
-                                         rel_tol=args.tol_residual)
+            det_law = eq.determinant_law(model, rank, report)
             lines += ["", "[determinant law]",
                       f"det J_DFE: {_fmt(det_law.det_J_dfe)}",
                       f"det J_EE: {_fmt(det_law.det_J_ee)}",
@@ -282,6 +280,8 @@ def cmd_scan(args) -> int:
         grid = np.linspace(float(lo_s), float(hi_s), int(num_s))
     except ValueError:
         raise ParseError(f"--grid must be lo:hi:num, got {args.grid!r}")
+    if grid.size < 1:
+        raise ParseError(f"--grid needs num >= 1, got {args.grid!r}")
 
     # A point whose solve fails keeps its row, with empty root cells and the
     # error in a trailing note column; the run still fails, after the write.
@@ -398,7 +398,7 @@ def cmd_siphons(args) -> int:
             unfound(s)
             continue
         try:
-            blocks = crn.face_block_jacobian(net.rhs, s.indices, x_eq)
+            blocks = crn.face_block_jacobian(net, s.indices, x_eq)
         except AnalysisError as exc:
             unfound(s, str(exc))
             continue
@@ -488,12 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full model analysis report")
     _add_common(p)
-    p.add_argument("--tol-hurwitz", type=float, default=1e-9,
-                   help="marginal band for spectral abscissa checks")
-    p.add_argument("--tol-colsum", type=float, default=1e-9,
-                   help="tolerance for routing column sums")
-    p.add_argument("--tol-residual", type=float, default=1e-8,
-                   help="relative tolerance for equilibrium residuals")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("lyapunov", help="sampled decrease certificate")

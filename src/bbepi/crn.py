@@ -6,9 +6,10 @@ so every reaction that net-consumes a species has that species in its source
 and the nonnegative orthant is forward invariant.
 
 A siphon is a species set such that every reaction producing a member also
-consumes a member; zeroing a siphon freezes every inflow into it, so the
-corresponding coordinate face is forward invariant, and Jacobians at
-equilibria on the face inherit a block-triangular structure. Siphons whose
+consumes a member. The coordinate face {x_sigma = 0} is forward invariant
+exactly when sigma is a siphon (Angeli, De Leenheer & Sontag 2007), and the
+exact Jacobian (ReactionNetwork.jacobian: a mass-action field is a
+polynomial) at an equilibrium on the face is block triangular. Siphons whose
 members do not jointly support a nonnegative conservation law ("critical"
 siphons) are the candidate extinction faces.
 
@@ -32,9 +33,6 @@ from .model import COLSUM_TOL, BilinearModel
 
 MAX_SPECIES_EXACT = 24
 FACE_EQ_TOL = 1e-9
-FACE_SAMPLE_TOL = 1e-9
-OFF_BLOCK_TOL = 1e-7
-FD_STEP = 1e-6
 
 _TERM_RE = re.compile(r"^\s*(\d+)?\s*([A-Za-z_]\w*)\s*$")
 
@@ -59,9 +57,9 @@ class ReactionNetwork:
     """Species-indexed reaction list with its stoichiometric matrix.
 
     The source, output and stoichiometric matrices (one column per reaction)
-    are built once, read-only. So is the gather plan of `rates`: each
-    reaction's source species in increasing order, padded to a common width,
-    with the multiplicities grouped by value.
+    are built once, read-only. So is the gather plan of `rates` and
+    `jacobian`: each reaction's source species in increasing order, padded
+    to a common width, with their multiplicities (grouped by value too).
     """
 
     species: tuple[str, ...]
@@ -87,7 +85,7 @@ class ReactionNetwork:
         k = np.array([r.rate_constant for r in self.reactions], dtype=float)
         for name, arr in (("source_matrix", src), ("output_matrix", out),
                           ("Gamma", out - src), ("_src_idx", idx), ("_pad", pad),
-                          ("_k", k)):
+                          ("_expo", expo), ("_k", k)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "_powers", powers)
@@ -120,6 +118,25 @@ class ReactionNetwork:
     def rhs(self, x: np.ndarray) -> np.ndarray:
         """Mass-action vector field Gamma @ rates(x), batch friendly."""
         return self.rates(x) @ self.Gamma.T
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """Exact Jacobian Gamma @ d rates / dx, (d, d), at one state x of shape (d,).
+
+        Each factor x_i ** e of a rate has slope e * x_i ** (e - 1) (a pad:
+        value 1, slope 0), and d rate_r / d x_i is k_r times that slope times
+        the product of the other factors. The product is taken without
+        division, so a zero coordinate gives exact zeros; 0.0 ** 0 == 1 makes
+        the slope of a single x_i right at x_i = 0.
+        """
+        base = np.asarray(x, dtype=float)[self._src_idx]
+        value = np.where(self._pad, 1.0, base ** self._expo)
+        slope = np.where(self._pad, 0.0, self._expo * base ** (self._expo - 1.0))
+        for j in range(value.shape[1]):
+            slope[:, j] *= self._k * np.prod(np.delete(value, j, axis=1), axis=1)
+        live = ~self._pad
+        drates = np.zeros((self.n_reactions, self.n_species))
+        drates[np.nonzero(live)[0], self._src_idx[live]] = slope[live]
+        return self.Gamma @ drates
 
     def index(self, name: str) -> int:
         if name not in self.species:
@@ -311,8 +328,7 @@ def _has_conservation_support(net: ReactionNetwork, members: tuple[int, ...]) ->
     return False
 
 
-def minimal_siphons(net: ReactionNetwork,
-                    cap: int = MAX_SPECIES_EXACT) -> list[SiphonSet]:
+def minimal_siphons(net: ReactionNetwork) -> list[SiphonSet]:
     """All inclusion-minimal nonempty siphons, exactly.
 
     A branching closure (after Nabli, Fages, Martinez & Soliman, Constraints
@@ -321,7 +337,7 @@ def minimal_siphons(net: ReactionNetwork,
     of that reaction's source species, so the search branches on them (and
     dies on a reaction with no source). Every minimal siphon is reached from
     each of its members; the inclusion-minimal sets found are returned by
-    size, then by indices. Refuses networks above `cap` species.
+    size, then by indices. Refuses networks above MAX_SPECIES_EXACT species.
 
     Each returned siphon carries a criticality flag: critical means its
     members do not jointly support a nonnegative conservation law of the
@@ -329,8 +345,9 @@ def minimal_siphons(net: ReactionNetwork,
     `_has_conservation_support`).
     """
     n = net.n_species
-    if n > cap:
-        raise TooManySpecies(f"exact enumeration capped at {cap} species, got {n}")
+    if n > MAX_SPECIES_EXACT:
+        raise TooManySpecies(
+            f"exact enumeration capped at {MAX_SPECIES_EXACT} species, got {n}")
 
     def mask_of(column) -> int:
         return sum(1 << int(i) for i in np.flatnonzero(column))
@@ -403,44 +420,29 @@ def dfe_closure(net: ReactionNetwork,
 
 @dataclass(frozen=True)
 class FaceBlocks:
-    """Jacobian blocks at an equilibrium on an invariant coordinate face.
+    """Jacobian blocks at an equilibrium on a siphon's coordinate face.
 
-    Coordinates are permuted to (face block sigma, tangent block); for an
-    invariant face the upper-right block D_tangent f_sigma vanishes, so the
-    spectrum splits into the transversal block J_perp (invasion directions)
-    and the tangential block J_tan.
+    Coordinates are permuted to (face block sigma, tangent block); the
+    upper-right block D_tangent f_sigma vanishes, so the spectrum splits into
+    the transversal block J_perp (invasion directions) and the tangential
+    block J_tan.
     """
 
     order: tuple[int, ...]
     J_perp: np.ndarray
     J_tan: np.ndarray
-    off_block: np.ndarray
-    off_block_norm: float
 
 
-def _fd_jacobian(rhs, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    J = np.empty((d, d))
-    for j in range(d):
-        h = step * (1.0 + abs(x[j]))
-        xp = x.copy(); xp[j] += h
-        xm = x.copy(); xm[j] -= h
-        J[:, j] = (np.asarray(rhs(xp)) - np.asarray(rhs(xm))) / (2.0 * h)
-    return J
+def face_block_jacobian(net: ReactionNetwork, sigma, x_eq) -> FaceBlocks:
+    """Split the exact Jacobian at an equilibrium on the face {x_sigma = 0}.
 
-
-def face_block_jacobian(rhs, sigma, x_eq, n_samples: int = 20,
-                        seed: int = 0) -> FaceBlocks:
-    """Verify face invariance and split the Jacobian at a face equilibrium.
-
-    sigma lists the coordinates held at zero. The face {x_sigma = 0} is
-    probed at seeded random nonnegative points: the sigma components of the
-    vector field must vanish there. x_eq must be an equilibrium lying on the
-    face. The Jacobian is computed by central differences and permuted to
-    (sigma, rest) order; the upper-right block is checked to vanish.
-
-    Raises NotEquilibrium or NotInvariantFace accordingly.
+    x_eq must lie on the face and zero the field there (NotEquilibrium
+    otherwise). The face is forward invariant exactly when sigma is a siphon
+    (NotInvariantFace otherwise). net.jacobian(x_eq) is permuted to
+    (sigma, rest) order and split. Its upper-right block is exactly zero: a
+    reaction that produces a member has a member in its source (siphon), and
+    so does one that consumes a member (mass action); either way its rate,
+    and its partial in every non-member, vanish on the face.
     """
     x_eq = np.asarray(x_eq, dtype=float).ravel()
     d = x_eq.size
@@ -449,33 +451,18 @@ def face_block_jacobian(rhs, sigma, x_eq, n_samples: int = 20,
     if np.max(np.abs(x_eq[list(sigma)])) > 1e-12 * max(1.0, float(np.max(np.abs(x_eq)))):
         raise NotEquilibrium("x_eq does not lie on the requested face")
     scale = 1.0 + float(np.max(np.abs(x_eq)))
-    res = float(np.max(np.abs(np.asarray(rhs(x_eq)))))
+    res = float(np.max(np.abs(net.rhs(x_eq))))
     if res > FACE_EQ_TOL * scale:
         raise NotEquilibrium(f"vector field residual {res:.3e} at x_eq")
-
-    rng = np.random.default_rng(seed)
-    for _ in range(n_samples):
-        x = rng.uniform(0.0, 2.0, size=d) * np.where(x_eq > 0, x_eq, 1.0)
-        x[list(sigma)] = 0.0
-        f = np.asarray(rhs(x))
-        bad = float(np.max(np.abs(f[list(sigma)])))
-        if bad > FACE_SAMPLE_TOL * (1.0 + float(np.max(np.abs(f)))):
-            raise NotInvariantFace(
-                f"face components move by {bad:.3e} at a sampled face point"
-            )
-
-    J = _fd_jacobian(rhs, x_eq)
-    order = sigma + rest
-    Jp = J[np.ix_(order, order)]
-    k = len(sigma)
-    off = Jp[:k, k:]
-    off_norm = float(np.max(np.abs(off))) if off.size else 0.0
-    if off_norm > OFF_BLOCK_TOL * max(1.0, float(np.max(np.abs(J)))):
+    if not is_siphon(net, sigma):
+        names = " ".join(net.species[i] for i in sigma)
         raise NotInvariantFace(
-            f"upper-right Jacobian block has norm {off_norm:.3e}; face not invariant"
-        )
-    return FaceBlocks(order=order, J_perp=Jp[:k, :k], J_tan=Jp[k:, k:],
-                      off_block=off, off_block_norm=off_norm)
+            f"{{{names}}} is not a siphon; its face is not invariant")
+
+    order = sigma + rest
+    J = net.jacobian(x_eq)[np.ix_(order, order)]
+    k = len(sigma)
+    return FaceBlocks(order=order, J_perp=J[:k, :k], J_tan=J[k:, k:])
 
 
 @dataclass(frozen=True)

@@ -379,8 +379,7 @@ class DeterminantLaw:
 
 
 def determinant_law(model: BilinearModel, rank: RankClass,
-                    report: EquilibriumReport | None = None,
-                    rel_tol: float = RESIDUAL_TOL) -> DeterminantLaw:
+                    report: EquilibriumReport | None = None) -> DeterminantLaw:
     """det J_EE = -det J_DFE = mu_S det(A) (1 - R0) for m = 1 rank-one models.
 
     mu_S is the single susceptible outflow rate -A_S[0, 0]. Requires R0 > 1
@@ -408,9 +407,9 @@ def determinant_law(model: BilinearModel, rank: RankClass,
     cf_dfe = -mu * detA * (1.0 - R0)
     cf_ee = mu * detA * (1.0 - R0)
     scale = max(1.0, abs(det_dfe), abs(det_ee))
-    holds = (abs(det_dfe + det_ee) <= rel_tol * scale
-             and abs(det_dfe - cf_dfe) <= rel_tol * scale
-             and abs(det_ee - cf_ee) <= rel_tol * scale)
+    tol = RESIDUAL_TOL * scale
+    holds = (abs(det_dfe + det_ee) <= tol and abs(det_dfe - cf_dfe) <= tol
+             and abs(det_ee - cf_ee) <= tol)
     return DeterminantLaw(det_J_dfe=det_dfe, det_J_ee=det_ee,
                           closed_form_dfe=cf_dfe, closed_form_ee=cf_ee,
                           holds=holds)

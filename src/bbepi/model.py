@@ -219,14 +219,15 @@ class RankClass:
         }
 
 
-def _hurwitz_check(M: np.ndarray, name: str, tol: float) -> CheckResult:
+def _hurwitz_check(M: np.ndarray, name: str) -> CheckResult:
     s = spectral.spectral_abscissa(M)
-    if s < -tol:
+    if s < -HURWITZ_TOL:
         return CheckResult(f"{name}.hurwitz", "pass", f"abscissa {s:.3e}")
-    if abs(s) <= tol:
+    if abs(s) <= HURWITZ_TOL:
         return CheckResult(f"{name}.hurwitz", "marginal",
-                           f"abscissa {s:.3e} within +/-{tol:g} of zero")
-    return CheckResult(f"{name}.hurwitz", "fail", f"abscissa {s:.3e} >= {-tol:g}")
+                           f"abscissa {s:.3e} within +/-{HURWITZ_TOL:g} of zero")
+    return CheckResult(f"{name}.hurwitz", "fail",
+                       f"abscissa {s:.3e} >= {-HURWITZ_TOL:g}")
 
 
 def _metzler_check(M: np.ndarray, name: str) -> CheckResult:
@@ -248,21 +249,19 @@ def _nonneg_check(M: np.ndarray, name: str) -> CheckResult:
                        f"entry {idx} = {worst:.3e} < 0")
 
 
-def validate_model(model: BilinearModel,
-                   hurwitz_tol: float = HURWITZ_TOL,
-                   colsum_tol: float = COLSUM_TOL) -> ValidationReport:
+def validate_model(model: BilinearModel) -> ValidationReport:
     """Check every structural invariant of the model, one result per check.
 
-    Spectral abscissas within +/-hurwitz_tol of zero are classified as
+    Spectral abscissas within +/-HURWITZ_TOL of zero are classified as
     marginal rather than passing, since downstream resolvent inverses degrade
     there. Shape errors raise DimensionMismatch at construction time, not
     here.
     """
     rep = ValidationReport()
     rep.checks.append(_metzler_check(model.A, "A"))
-    rep.checks.append(_hurwitz_check(model.A, "A", hurwitz_tol))
+    rep.checks.append(_hurwitz_check(model.A, "A"))
     rep.checks.append(_metzler_check(model.A_S, "A_S"))
-    rep.checks.append(_hurwitz_check(model.A_S, "A_S", hurwitz_tol))
+    rep.checks.append(_hurwitz_check(model.A_S, "A_S"))
     rep.checks.append(_nonneg_check(model.B, "B"))
     rep.checks.append(_nonneg_check(model.P, "P"))
     rep.checks.append(_nonneg_check(model.Lambda, "Lambda"))
@@ -270,7 +269,7 @@ def validate_model(model: BilinearModel,
 
     colsums = model.P.sum(axis=0)
     err = float(np.max(np.abs(colsums - 1.0))) if colsums.size else 0.0
-    if err <= colsum_tol:
+    if err <= COLSUM_TOL:
         rep.checks.append(CheckResult("P.column_stochastic", "pass",
                                       f"max |colsum-1| = {err:.3e}"))
     else:
@@ -302,14 +301,14 @@ def validate_accessibility(model: BilinearModel) -> AccessReport:
     )
 
 
-def classify_rank(model: BilinearModel, tol: float = RANK_TOL) -> RankClass:
+def classify_rank(model: BilinearModel) -> RankClass:
     """Classify the transmission structure and recover its factors.
 
-    CaseP holds when the columns of P all coincide within tol (relatively);
-    the shared column alpha_n is taken as the mean column. CaseB holds when
-    B is numerically rank one (second singular value below tol times the
-    first); B is then factored as outer(alpha_m, beta) with alpha_m scaled
-    to the unit simplex. Both can hold at once (always for m = 1).
+    CaseP holds when the columns of P all coincide within RANK_TOL
+    (relatively); the shared column alpha_n is taken as the mean column.
+    CaseB holds when B is numerically rank one (second singular value below
+    RANK_TOL times the first); B is then factored as outer(alpha_m, beta)
+    with alpha_m scaled to the unit simplex. Both can hold at once (always for m = 1).
 
     Raises
     ------
@@ -323,12 +322,12 @@ def classify_rank(model: BilinearModel, tol: float = RANK_TOL) -> RankClass:
     alpha_n = None
     mean_col = P.mean(axis=1)
     scale = max(1.0, float(np.max(np.abs(P))))
-    if np.max(np.abs(P - mean_col[:, None])) <= tol * scale:
+    if np.max(np.abs(P - mean_col[:, None])) <= RANK_TOL * scale:
         alpha_n = mean_col
 
     alpha_m = beta = None
     U, s, Vt = np.linalg.svd(B)
-    if s.size == 1 or s[1] <= tol * s[0]:
+    if s.size == 1 or s[1] <= RANK_TOL * s[0]:
         u = U[:, 0]
         v = Vt[0, :]
         if u.sum() < 0:

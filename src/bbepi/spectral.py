@@ -23,7 +23,6 @@ PERRON_ZERO_TOL = 1e-11
 MINV_RESIDUAL_TOL = 1e-10
 MINV_SIGN_TOL = 1e-12
 DET_SINGULAR_TOL = 1e-12
-ADJ_MINOR_MAX = 10
 ADJ_RANK_TOL = 1e-7
 COFACTOR_REL_TOL = 1e-7
 
@@ -196,43 +195,23 @@ def m_inverse(A: np.ndarray) -> np.ndarray:
 def adjugate(M: np.ndarray) -> np.ndarray:
     """Adjugate (transposed cofactor matrix), adj(M) @ M = det(M) * Id.
 
-    Uses explicit minors up to size 10. Above that, for numerically singular
-    M of nullity one, the adjugate is reconstructed as a scaled outer product
-    of the SVD null vectors, anchored to one explicitly computed cofactor.
+    Every entry is a signed minor, so M may be singular or not at any size.
     """
     M = np.asarray(M, dtype=float)
     k = M.shape[0]
-    if k == 0:
-        return np.zeros((0, 0))
-    if k == 1:
-        return np.array([[1.0]])
-    if k <= ADJ_MINOR_MAX:
-        out = np.empty((k, k))
-        idx = np.arange(k)
-        for i in range(k):
-            rows = idx[idx != i]
-            for j in range(k):
-                cols = idx[idx != j]
-                minor = M[np.ix_(rows, cols)]
-                # adj(M)[j, i] = (-1)^{i+j} det(M with row i, col j removed)
-                out[j, i] = ((-1.0) ** (i + j)) * np.linalg.det(minor)
-        return out
-    # Large singular case: adj(M) = c * w @ pi with M w = 0 and pi M = 0.
-    U, s, Vt = np.linalg.svd(M)
-    if s[-1] > 1e-9 * s[0]:
-        raise RankTestFailure("large-matrix adjugate path requires a singular matrix")
-    w = Vt[-1, :]
-    pi = U[:, -1]
-    outer = np.outer(w, pi)  # adj columns span ker(M), rows span ker(M^T)
-    rows = np.arange(1, k)
-    cols = np.arange(1, k)
-    c00 = np.linalg.det(M[np.ix_(rows, cols)])  # cofactor (0,0), sign +
-    if outer[0, 0] == 0.0:
-        raise RankTestFailure("null-vector outer product vanished at the anchor entry")
-    return outer * (c00 / outer[0, 0])
+    out = np.empty((k, k))
+    idx = np.arange(k)
+    for i in range(k):
+        rows = idx[idx != i]
+        for j in range(k):
+            cols = idx[idx != j]
+            minor = M[np.ix_(rows, cols)]
+            # adj(M)[j, i] = (-1)^{i+j} det(M with row i, col j removed)
+            out[j, i] = ((-1.0) ** (i + j)) * np.linalg.det(minor)
+    return out
 
 
-def kirchhoff_perron(J: np.ndarray, rel_tol: float = COFACTOR_REL_TOL) -> KirchhoffData:
+def kirchhoff_perron(J: np.ndarray) -> KirchhoffData:
     """Rank-one adjugate identity at the rightmost eigenvalue of Metzler J.
 
     For irreducible Metzler J with rightmost (simple) eigenvalue lambda_P, the
@@ -249,7 +228,7 @@ def kirchhoff_perron(J: np.ndarray, rel_tol: float = COFACTOR_REL_TOL) -> Kirchh
     ------
     RankTestFailure
         When the adjugate is not numerically rank one, or the cofactors are
-        not proportional to w_k * pi_k within rel_tol.
+        not proportional to w_k * pi_k within COFACTOR_REL_TOL.
     """
     J = np.asarray(J, dtype=float)
     k = J.shape[0]
@@ -293,7 +272,7 @@ def kirchhoff_perron(J: np.ndarray, rel_tol: float = COFACTOR_REL_TOL) -> Kirchh
         ratios = cof[np.abs(target) > 1e-13] / target[np.abs(target) > 1e-13]
         spread = float(np.max(ratios) - np.min(ratios))
         mean = float(np.mean(np.abs(ratios)))
-        if mean == 0.0 or spread > rel_tol * mean:
+        if mean == 0.0 or spread > COFACTOR_REL_TOL * mean:
             raise RankTestFailure(
                 f"diagonal cofactors not proportional to w*pi (spread {spread:.3e})"
             )

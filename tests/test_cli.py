@@ -1,6 +1,8 @@
 """End-to-end command-line runs, exit codes, and output determinism."""
 
+import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from bbepi import IdentityViolation
 from bbepi import equilibrium as eq
 from bbepi import lyapunov as lyap
-from bbepi.cli import main
+from bbepi.cli import build_parser, main
 from test_crn import random_network
 
 SIR_JSON = json.dumps({
@@ -260,13 +262,6 @@ def test_scan_roots_track_threshold(tmp_path, sir_path, capsys):
             assert float(cells[4]) == pytest.approx(1.0 - 1.0 / beta, rel=1e-9)
 
 
-def test_scan_empty_grid_writes_header_only(tmp_path, sir_path, capsys):
-    rc = main(["scan", str(sir_path), "--entry", "B[0,0]",
-               "--grid", "1.0:2.0:0", "--out", str(tmp_path)])
-    assert rc == 0
-    assert (tmp_path / "scan.csv").read_text() == "param,R0,num_roots,backward\n"
-
-
 def test_scan_rejects_bad_grid_and_entry(tmp_path, sir_path, capsys):
     assert main(["scan", str(sir_path), "--entry", "B[0,0]",
                  "--grid", "nonsense", "--out", str(tmp_path)]) == 2
@@ -353,8 +348,9 @@ def test_siphons_parse_error_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
-def test_siphons_face_leaving_orthant_exits_3(tmp_path, capsys):
-    # Settling one face of this random network leaves the orthant.
+def write_random16(tmp_path):
+    """A 16-species random network whose two siphon faces leave the orthant
+    while settling, as a reaction file."""
     net = random_network(np.random.default_rng(16), 16, 32)
 
     def side(v):
@@ -366,26 +362,19 @@ def test_siphons_face_leaving_orthant_exits_3(tmp_path, capsys):
               for r in net.reactions]
     path = tmp_path / "random16.rxn"
     path.write_text("\n".join(lines) + "\n")
-    rc = main(["siphons", str(path), "--out", str(tmp_path)])
+    return path
+
+
+def test_siphons_face_leaving_orthant_exits_3(tmp_path, capsys):
+    rc = main(["siphons", str(write_random16(tmp_path)), "--out", str(tmp_path)])
     assert rc == 3
     assert "orthant" in capsys.readouterr().err
 
 
 def test_siphons_failed_faces_keep_the_report(tmp_path, capsys):
-    # Settling both faces of this random network leaves the orthant; each
-    # face keeps its entry and the run still exits 3 after writing both files.
-    net = random_network(np.random.default_rng(16), 16, 32)
-
-    def side(v):
-        return " + ".join((f"{int(c)} " if c > 1 else "") + net.species[i]
-                          for i, c in enumerate(v) if c > 0)
-
-    lines = ["species: " + " ".join(net.species)]
-    lines += [f"{side(r.source)} -> {side(r.output)} : {r.rate_constant!r}"
-              for r in net.reactions]
-    path = tmp_path / "random16.rxn"
-    path.write_text("\n".join(lines) + "\n")
-    rc = main(["siphons", str(path), "--out", str(tmp_path)])
+    # Each failed face keeps its entry and the run still exits 3 after
+    # writing both files.
+    rc = main(["siphons", str(write_random16(tmp_path)), "--out", str(tmp_path)])
     captured = capsys.readouterr()
     assert rc == 3
     assert "failed faces: 2" in captured.out
@@ -408,12 +397,27 @@ def test_siphons_failed_faces_keep_the_report(tmp_path, capsys):
     ["siphons", "n.rxn", "--input-format", "rxn"],
     ["siphons", "n.rxn", "--i-species", "i"],
     ["siphons", "n.rxn", "--seed", "1"],
+    ["analyze", "m.model", "--tol-hurwitz", "1e-6"],
 ])
 def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_command_line_section_names_every_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    missing = sorted({(name, flag)
+                      for name, parser in subparsers.choices.items()
+                      for action in parser._actions
+                      for flag in action.option_strings
+                      if flag.startswith("--") and flag != "--help"
+                      and flag not in section})
+    assert not missing
 
 
 # ---------------------------------------------------------------- simulate

@@ -329,57 +329,76 @@ def test_face_blocks_on_sirs_demography():
     net = bb.parse_reactions(SIRS_DEMOGRAPHY)
     # Disease-free equilibrium: s = 1 from inflow/outflow balance, i = r = 0.
     x_eq = np.array([1.0, 0.0, 0.0])
-    blocks = bb.face_block_jacobian(net.rhs, sigma=(net.index("i"),), x_eq=x_eq)
+    blocks = bb.face_block_jacobian(net, sigma=(net.index("i"),), x_eq=x_eq)
     # Transversal block is the scalar invasion rate beta*s0 - gamma - mu.
     assert blocks.J_perp == pytest.approx(np.array([[2.5 - 1.5 - 1.0]]), abs=1e-6)
-    assert blocks.off_block_norm <= 1e-7
+    J = net.jacobian(x_eq)[np.ix_(blocks.order, blocks.order)]
+    assert np.all(J[:1, 1:] == 0.0)
     assert blocks.J_tan.shape == (2, 2)
 
 
 def test_face_blocks_match_fd_oracle_on_model():
-    rng = np.random.default_rng(12)
-    from conftest import random_model
-    model = random_model(rng, 2, 2)
+    net = bb.parse_reactions(SIRS_DEMOGRAPHY)
+    model, split = bb.network_to_bilinear(net)
     S0 = bb.dfe(model)
-    x_eq = np.concatenate([S0, np.zeros(2)])
-    blocks = bb.face_block_jacobian(model.rhs, sigma=(2, 3), x_eq=x_eq)
+    x_eq = np.zeros(net.n_species)
+    x_eq[list(split.s_indices)] = S0
+    blocks = bb.face_block_jacobian(net, sigma=split.i_indices, x_eq=x_eq)
     # The infection block at the disease-free point is F(S0) + A.
     K_block = model.P @ np.diag(S0) @ model.B + model.A
     assert blocks.J_perp == pytest.approx(K_block, abs=1e-5)
-    J = oracle_fd_jacobian(model.rhs, x_eq)
-    assert blocks.J_tan == pytest.approx(J[:2, :2], abs=1e-6)
+    J = oracle_fd_jacobian(net.rhs, x_eq)
+    rest = list(split.s_indices)
+    assert blocks.J_tan == pytest.approx(J[np.ix_(rest, rest)], abs=1e-6)
 
 
 def test_face_blocks_reject_non_equilibrium():
     net = bb.parse_reactions(SIRS_DEMOGRAPHY)
     with pytest.raises(bb.NotEquilibrium):
-        bb.face_block_jacobian(net.rhs, sigma=(1,), x_eq=np.array([2.0, 0.0, 0.5]))
+        bb.face_block_jacobian(net, sigma=(1,), x_eq=np.array([2.0, 0.0, 0.5]))
     with pytest.raises(bb.NotEquilibrium):
         # Off the face entirely.
-        bb.face_block_jacobian(net.rhs, sigma=(1,), x_eq=np.array([1.0, 0.5, 0.0]))
+        bb.face_block_jacobian(net, sigma=(1,), x_eq=np.array([1.0, 0.5, 0.0]))
 
 
 def test_face_blocks_reject_non_invariant_face():
-    # The origin is an equilibrium on the face {x1 = 0}, but the face leaks:
-    # x0 feeds x1 at every other face point.
-    def field(x):
-        return np.array([-x[0], x[0] - 2.0 * x[1]])
-
+    # The origin is an equilibrium on the face {b = 0}, but the face leaks:
+    # a feeds b at every other face point, so {b} is no siphon.
+    net = bb.parse_reactions("a -> : 1\na -> a + b : 1\nb -> : 2")
     with pytest.raises(bb.NotInvariantFace):
-        bb.face_block_jacobian(field, sigma=(1,), x_eq=np.zeros(2))
+        bb.face_block_jacobian(net, sigma=(net.index("b"),), x_eq=np.zeros(2))
 
 
 def test_face_blocks_linear_triangular_system():
-    # x' = M x with M block triangular: the face {x0 = 0} is invariant and
-    # the blocks are read straight off M.
-    M = np.array([[-2.0, 0.0], [1.0, -3.0]])
-
-    def field(x):
-        return M @ x
-
-    blocks = bb.face_block_jacobian(field, sigma=(0,), x_eq=np.zeros(2))
+    # a' = -2 a, b' = a - 3 b: the face {a = 0} is invariant and the blocks
+    # are read straight off the triangular matrix.
+    net = bb.parse_reactions("a -> : 2\na -> a + b : 1\nb -> : 3")
+    blocks = bb.face_block_jacobian(net, sigma=(net.index("a"),), x_eq=np.zeros(2))
     assert blocks.J_perp == pytest.approx(np.array([[-2.0]]), abs=1e-6)
     assert blocks.J_tan == pytest.approx(np.array([[-3.0]]), abs=1e-6)
+
+
+def test_jacobian_matches_fd_oracle_and_splits_exactly_on_siphon_faces():
+    rng = np.random.default_rng(22)
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        net = random_network(rng, n, int(rng.integers(2, 9)))
+        x = rng.uniform(0.2, 2.0, size=n)
+        x[rng.random(n) < 0.3] = 0.0
+        J = net.jacobian(x)
+        J_fd = oracle_fd_jacobian(net.rhs, x)
+        assert J == pytest.approx(J_fd, abs=1e-8 * (1.0 + np.max(np.abs(J_fd))))
+        for s in bb.minimal_siphons(net):
+            face = x.copy()
+            face[list(s.indices)] = 0.0
+            rest = [i for i in range(n) if i not in s.indices]
+            assert np.all(net.jacobian(face)[np.ix_(s.indices, rest)] == 0.0)
+
+
+def test_jacobian_of_a_reactionless_network_is_zero():
+    net = ReactionNetwork(species=("a", "b", "c"), reactions=())
+    J = net.jacobian(np.array([1.0, 0.0, 2.0]))
+    assert J.shape == (3, 3) and not J.any()
 
 
 # ------------------------------------------------------ structure extraction

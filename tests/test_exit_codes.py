@@ -92,6 +92,8 @@ CASES = {
                              "--grid", "0.5:3:4"], 2, "vector"),
     "scan --grid": (["scan", "sir.model", "--entry", "B[0,0]", "--grid", "x"], 2,
                     "--grid"),
+    "scan --grid count 0": (["scan", "sir.model", "--entry", "B[0,0]",
+                             "--grid", "1:2:0"], 2, "--grid needs num >= 1"),
     # Failed validation (InvalidModel), missing files (OSError), input
     # formats (ParseError, NotBalancedBilinear).
     "simulate invalid model": (["simulate", "unstable.model", "--x0", "0.5,0.5"], 2,

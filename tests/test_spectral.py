@@ -119,6 +119,13 @@ def test_adjugate_matches_inverse_route():
         assert bb.adjugate(M) == pytest.approx(expected, abs=1e-8)
 
 
+@pytest.mark.parametrize("k", [11, 12])
+def test_adjugate_of_a_nonsingular_matrix_above_ten(k):
+    M = rng0(k).uniform(-1.0, 1.0, size=(k, k)) + 3.0 * np.eye(k)
+    expected = np.linalg.det(M) * np.linalg.inv(M)
+    assert np.max(np.abs(bb.adjugate(M) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 def test_adjugate_of_singular_matrix_is_rank_one():
     # Laplacian-style singular matrix: adj rows equal, known closed form.
     N = np.array([[1.0, -1.0], [-2.0, 2.0]])
