@@ -65,8 +65,12 @@ def dfe(model: BilinearModel) -> np.ndarray:
 
 
 def reproduction_number(model: BilinearModel) -> float:
-    """Spectral radius of the next-generation operator at the DFE."""
-    return spectral.perron(ngm.loop_ngm(model, dfe(model))).rho
+    """Spectral radius of the next-generation operator at the DFE.
+
+    The loop form is nonnegative, so its spectral radius is its spectral
+    abscissa, read from the eigenvalues alone.
+    """
+    return spectral.spectral_abscissa(ngm.loop_ngm(model, dfe(model)))
 
 
 def jacobian(model: BilinearModel, state: StateVector) -> np.ndarray:
@@ -241,13 +245,13 @@ def endemic_rank_one(model: BilinearModel, rank: RankClass) -> EquilibriumReport
     if rank.tag is RankTag.GENERAL:
         raise NotRankOne("endemic_rank_one requires rank-one transmission structure")
     S0 = dfe(model)
-    R = ngm.replacement_vector(model, rank)
+    Ainv = spectral.m_inverse(model.A)
+    R = ngm.replacement_vector(model, rank, Ainv)
     R0 = float(S0 @ R)
     if R0 <= 1.0 or abs(R0 - 1.0) <= THRESHOLD_BAND:
         return _threshold_report(S0, R0, "rank_one",
                                  "R0 <= 1: no positive endemic equilibrium")
 
-    Ainv = spectral.m_inverse(model.A)
     shared_routing = rank.alpha_n is not None
     a = R if shared_routing else rank.alpha_m
 
@@ -303,7 +307,8 @@ def endemic_spectral(model: BilinearModel) -> EquilibriumReport:
     Requires C = 0 and an irreducible circulation matrix G.
     """
     _require_no_feedback(model, "endemic_spectral")
-    G = ngm.loop_gain(model)
+    Ainv = spectral.m_inverse(model.A)
+    G = ngm.loop_gain(model, Ainv)
     S0 = dfe(model)
     sd = spectral.perron(G * S0[None, :])
     R0 = sd.rho
@@ -341,9 +346,9 @@ def endemic_spectral(model: BilinearModel) -> EquilibriumReport:
             raise NoConvergence("Newton step on u = B I cannot keep u positive")
         u = u - step
 
-    S_bar, I_bar = S, spectral.m_inverse(model.A) @ (model.P @ (S * u))
+    S_bar, I_bar = S, Ainv @ (model.P @ (S * u))
 
-    rho_at = spectral.perron(ngm.loop_ngm(model, S_bar, gain=G)).rho
+    rho_at = spectral.spectral_abscissa(ngm.loop_ngm(model, S_bar, gain=G))
     if abs(rho_at - 1.0) > SPECTRAL_RADIUS_TOL:
         raise NoConvergence(f"threshold condition violated: rho = {rho_at:.12f}")
     res = residual_inf(model, S_bar, I_bar)
@@ -436,9 +441,10 @@ def feedback_analysis(model: BilinearModel, rank: RankClass
     if rank.alpha_n is None:
         raise NotCaseP("feedback analysis requires a shared routing column")
     S0 = dfe(model)
-    R = ngm.replacement_vector(model, rank)
+    Ainv = spectral.m_inverse(model.A)
+    R = ngm.replacement_vector(model, rank, Ainv)
     R0 = float(S0 @ R)
-    D_w = ngm.dwell_times(model, rank)
+    D_w = ngm.dwell_times(model, rank, Ainv=Ainv)
     CD = model.C @ D_w
     DR = np.diag(R)
 

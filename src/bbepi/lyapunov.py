@@ -23,7 +23,8 @@ trajectories that reached the attractor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 import io
 
 import numpy as np
@@ -63,9 +64,10 @@ def _dfe_data(model: BilinearModel, rank: RankClass):
         raise NotCaseP("the disease-free certificate requires a shared routing column")
     _require_diagonal_As(model)
     S0 = eq.dfe(model)
-    R = ngm.replacement_vector(model, rank)
+    Ainv = spectral.m_inverse(model.A)
+    R = ngm.replacement_vector(model, rank, Ainv)
     R0 = float(S0 @ R)
-    w = (S0 @ model.B) @ spectral.m_inverse(model.A)  # linear I-weights
+    w = (S0 @ model.B) @ Ainv  # linear I-weights
     mu = -np.diag(model.A_S)
     return S0, R0, w, mu
 
@@ -270,12 +272,27 @@ class LyapunovCertificate:
             "target": self.target.tolist(),
         }
 
-    def _write_rows(self, buf: io.StringIO, index: int, prefix: str = ""):
+    @cached_property
+    def _time_strs(self) -> list[str]:
         # .tolist() yields Python floats, whose repr is the bare shortest
         # round-trip form (numpy 2 scalars repr as "np.float64(...)").
-        for t, v, vd in zip(self.times.tolist(), self.V[:, index].tolist(),
-                            self.V_dot[:, index].tolist()):
-            buf.write(f"{prefix}{t!r},{v!r},{vd!r}\n")
+        return list(map(repr, self.times.tolist()))
+
+    @cached_property
+    def _rows0(self) -> list[str]:
+        # Trajectory 0 appears in both CSV files; it is rendered once.
+        return self._render_rows(0)
+
+    def _render_rows(self, index: int) -> list[str]:
+        """The "t,V,V_dot" lines of one trajectory, without newlines."""
+        return list(map(",".join, zip(self._time_strs,
+                                      map(repr, self.V[:, index].tolist()),
+                                      map(repr, self.V_dot[:, index].tolist()))))
+
+    def _write_rows(self, buf: io.StringIO, index: int, prefix: str = ""):
+        rows = self._rows0 if index == 0 else self._render_rows(index)
+        if rows:
+            buf.write(prefix + ("\n" + prefix).join(rows) + "\n")
 
     def trace_csv(self, index: int = 0) -> str:
         buf = io.StringIO()

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import spectral
 from .errors import DegenerateB, DimensionMismatch, ParseError
+from .spectral import HURWITZ_TOL
 
-HURWITZ_TOL = 1e-9
 COLSUM_TOL = 1e-9
 RANK_TOL = 1e-8
 

@@ -47,7 +47,8 @@ def ngm_at(model: BilinearModel, S: np.ndarray) -> NgmBundle:
 
     The two products have identical nonzero spectra; the agreement of the
     two radii is checked to 1e-10 as an internal consistency check, and a
-    disagreement raises IdentityViolation.
+    disagreement raises IdentityViolation. Both products are nonnegative, so
+    each radius is read as the spectral abscissa (eigenvalues only).
     """
     S = np.asarray(S, dtype=float).ravel()
     if np.any(S < 0):
@@ -56,22 +57,23 @@ def ngm_at(model: BilinearModel, S: np.ndarray) -> NgmBundle:
     Ainv = spectral.m_inverse(model.A)
     K = F @ Ainv
     K_tilde = Ainv @ F
-    rho_K = spectral.perron(K).rho
-    rho_Kt = spectral.perron(K_tilde).rho
+    rho_K = spectral.spectral_abscissa(K)
+    rho_Kt = spectral.spectral_abscissa(K_tilde)
     gap = abs(rho_K - rho_Kt)
     if not gap <= SPECTRUM_MATCH_TOL * max(1.0, rho_K):
         raise IdentityViolation(f"spectral radii of K and K~ disagree by {gap:.3e}")
     return NgmBundle(F=F, K=K, K_tilde=K_tilde, R0=rho_K, at_state=S)
 
 
-def loop_gain(model: BilinearModel) -> np.ndarray:
+def loop_gain(model: BilinearModel, Ainv: np.ndarray | None = None) -> np.ndarray:
     """Susceptible-side circulation matrix B (-A)^{-1} P (m x m).
 
     Its column-rescaling by a profile S, loop_ngm, shares its nonzero
     spectrum with K(S), which makes the threshold condition an m-dimensional
-    statement even when n is large.
+    statement even when n is large. Ainv, when given, is m_inverse(model.A).
     """
-    return model.B @ spectral.m_inverse(model.A) @ model.P
+    Ainv = spectral.m_inverse(model.A) if Ainv is None else Ainv
+    return model.B @ Ainv @ model.P
 
 
 def loop_ngm(model: BilinearModel, S: np.ndarray,
@@ -82,14 +84,16 @@ def loop_ngm(model: BilinearModel, S: np.ndarray,
     return G * S[None, :]
 
 
-def replacement_vector(model: BilinearModel, rank: RankClass) -> np.ndarray:
+def replacement_vector(model: BilinearModel, rank: RankClass,
+                       Ainv: np.ndarray | None = None) -> np.ndarray:
     """Per-susceptible-class infectivity weights R with S0 . R = R0.
 
     Shared-routing models take R = B (-A)^{-1} alpha_n; rank-one B models
     take R_i = alpha_m[i] * (beta (-A)^{-1} p_i). When both structures hold
-    the two formulas agree and the first is used.
+    the two formulas agree and the first is used. Ainv, when given, is
+    m_inverse(model.A).
     """
-    Ainv = spectral.m_inverse(model.A)
+    Ainv = spectral.m_inverse(model.A) if Ainv is None else Ainv
     if rank.alpha_n is not None:
         return model.B @ Ainv @ rank.alpha_n
     if rank.alpha_m is not None:
@@ -98,13 +102,15 @@ def replacement_vector(model: BilinearModel, rank: RankClass) -> np.ndarray:
 
 
 def dwell_times(model: BilinearModel, rank: RankClass,
-                S_bar: np.ndarray | None = None) -> np.ndarray:
+                S_bar: np.ndarray | None = None,
+                Ainv: np.ndarray | None = None) -> np.ndarray:
     """Expected time-in-compartment profile D_w = (-A)^{-1} alpha_eff.
 
     alpha_eff is the routing column alpha_n for shared-routing models; for
     rank-one B it is P Diag(S_bar) alpha_m and requires the endemic profile.
+    Ainv, when given, is m_inverse(model.A).
     """
-    Ainv = spectral.m_inverse(model.A)
+    Ainv = spectral.m_inverse(model.A) if Ainv is None else Ainv
     if rank.alpha_n is not None:
         return Ainv @ rank.alpha_n
     if rank.alpha_m is not None:

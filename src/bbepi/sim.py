@@ -64,8 +64,9 @@ class Trajectory:
             raise ValueError("one column name per state coordinate required")
         buf = io.StringIO()
         buf.write("t," + ",".join(names) + "\n")
-        for t, row in zip(self.times, self.states):
-            buf.write(repr(float(t)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+        # .tolist() yields Python floats, whose repr is the bare shortest form.
+        for t, row in zip(self.times.tolist(), self.states.tolist()):
+            buf.write(repr(t) + "," + ",".join(map(repr, row)) + "\n")
         return buf.getvalue()
 
 

@@ -6,6 +6,13 @@ at the rightmost eigenvalue), resolvent inverses of Hurwitz Metzler
 matrices, and the rank-one adjugate identity at the rightmost eigenvalue
 (diagonal cofactors proportional to the product of the right and left
 Perron vectors).
+
+Reads that need the Perron root alone use spectral_abscissa (one eigvals,
+no vectors, no irreducibility test). For a nonnegative matrix the
+Perron-Frobenius theorem makes the spectral radius equal to the spectral
+abscissa, and LAPACK's dgeev returns the same eigenvalues whether or not it
+also computes eigenvectors, so the number equals perron(M).rho bit for bit
+(the tests check this on next-generation matrices).
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ PERRON_ZERO_TOL = 1e-11
 MINV_RESIDUAL_TOL = 1e-10
 MINV_SIGN_TOL = 1e-12
 DET_SINGULAR_TOL = 1e-12
+METZLER_TOL = 0.0
+HURWITZ_TOL = 1e-9
 ADJ_RANK_TOL = 1e-7
 COFACTOR_REL_TOL = 1e-7
 
@@ -59,11 +68,11 @@ class KirchhoffData(NamedTuple):
     scale: float
 
 
-def is_metzler(M: np.ndarray, tol: float = 0.0) -> bool:
-    """True when all off-diagonal entries of M are >= -tol."""
+def is_metzler(M: np.ndarray) -> bool:
+    """True when all off-diagonal entries of M are >= -METZLER_TOL."""
     M = np.asarray(M, dtype=float)
     off = M - np.diag(np.diag(M))
-    return bool(np.min(off) >= -tol)
+    return bool(np.min(off) >= -METZLER_TOL)
 
 
 def spectral_abscissa(M: np.ndarray) -> float:
@@ -71,9 +80,9 @@ def spectral_abscissa(M: np.ndarray) -> float:
     return float(np.max(np.linalg.eigvals(np.asarray(M, dtype=float)).real))
 
 
-def is_hurwitz(M: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when the spectral abscissa is below -tol."""
-    return spectral_abscissa(M) < -tol
+def is_hurwitz(M: np.ndarray) -> bool:
+    """True when the spectral abscissa is below -HURWITZ_TOL."""
+    return spectral_abscissa(M) < -HURWITZ_TOL
 
 
 def is_irreducible(M: np.ndarray) -> bool:
@@ -180,14 +189,15 @@ def m_inverse(A: np.ndarray) -> np.ndarray:
     hadamard = float(np.prod(np.linalg.norm(A, axis=1))) if k else 1.0
     if abs(det) <= DET_SINGULAR_TOL * max(hadamard, 1e-300):
         raise SingularMatrix(f"matrix is singular to tolerance (det={det:.3e})")
-    out = np.linalg.solve(-A, np.eye(k))
-    scale = max(1.0, float(np.max(np.abs(out))))
-    low = float(np.min(out))
+    neg, eye = -A, np.eye(k)
+    out = np.linalg.solve(neg, eye)
+    scale = max(1.0, float(abs(out).max()))
+    low = float(out.min())
     if not low >= -MINV_SIGN_TOL * scale:
         raise SingularMatrix(
             f"(-A)^{{-1}} has a negative entry ({low:.3e}); A is not Hurwitz Metzler")
-    residual = float(np.max(np.abs((-A) @ out - np.eye(k))))
-    if residual > MINV_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(A)))):
+    residual = float(abs(neg @ out - eye).max())
+    if residual > MINV_RESIDUAL_TOL * max(1.0, float(abs(A).max())):
         raise SingularMatrix(f"inversion residual {residual:.3e} too large")
     return out
 

@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 
 import bbepi as bb
 from bbepi import equilibrium as eq
+from bbepi import spectral
 from bbepi.ngm import loop_ngm
 from conftest import (diagonal_As, feedback_C, oracle_endemic_points,
                       oracle_fd_jacobian, oracle_feedback_roots,
@@ -501,3 +502,43 @@ def test_feedback_roots_match_dense_sign_scan(seed, m, n, r0, strength,
     oracle = oracle_feedback_roots(model, 1e6 * law.k_max)
     assert law.roots == pytest.approx(oracle, rel=1e-9)
     assert len(rep.endemic_points) == len(oracle)
+
+
+def _solver_cases():
+    rng = rng0(95)
+    above = with_r0(random_model(rng, 2, 3, "casep"), 1.8)
+    below = with_r0(random_model(rng, 2, 3, "caseb"), 0.6)
+    general = with_r0(random_model(rng, 3, 3, "general"), 2.2)
+    fb = random_model(rng, 2, 3, "casep")
+    fb = bb.BilinearModel(A=fb.A, A_S=fb.A_S, B=fb.B, P=fb.P, Lambda=fb.Lambda,
+                          C=feedback_C(fb, rng))
+    dfe_model = with_r0(diagonal_As(random_model(rng, 2, 2, "casep"), rng), 0.6)
+    cfg = bb.SamplingConfig(n_trajectories=2, horizon=1.0)
+
+    def rank_one(m):
+        return eq.endemic_rank_one(m, bb.classify_rank(m))
+
+    return [
+        pytest.param(above, rank_one, id="rank_one-above"),
+        pytest.param(below, rank_one, id="rank_one-below"),
+        pytest.param(general, eq.endemic_spectral, id="spectral"),
+        pytest.param(fb, lambda m: eq.feedback_analysis(m, bb.classify_rank(m)),
+                     id="feedback"),
+        pytest.param(dfe_model, lambda m: bb.verify_decrease(m, "dfe", cfg),
+                     id="certificate-dfe"),
+    ]
+
+
+@pytest.mark.parametrize("model, solve", _solver_cases())
+def test_each_solver_call_inverts_A_once(monkeypatch, model, solve):
+    # (-A)^{-1} is computed once per call and handed to every helper that
+    # reads it; timings alone would not show a second inversion.
+    real, seen = spectral.m_inverse, []
+
+    def counting(A):
+        seen.append(A)
+        return real(A)
+
+    monkeypatch.setattr(spectral, "m_inverse", counting)
+    solve(model)
+    assert sum(A is model.A for A in seen) == 1

@@ -258,9 +258,10 @@ def test_verify_decrease_csv_cells_are_exact_floats(sir):
     def columns(index):
         return np.column_stack([cert.times, cert.V[:, index], cert.V_dot[:, index]])
 
-    rows = [[float(c) for c in line.split(",")]
-            for line in cert.trace_csv(1).splitlines()[1:]]
-    assert np.array_equal(np.array(rows), columns(1))
+    for index in (0, 1):
+        rows = [[float(c) for c in line.split(",")]
+                for line in cert.trace_csv(index).splitlines()[1:]]
+        assert np.array_equal(np.array(rows), columns(index))
     rows = [[float(c) for c in line.split(",")]
             for line in cert.all_traces_csv().splitlines()[1:]]
     expected = np.vstack([np.column_stack([np.full(cert.times.size, i), columns(i)])

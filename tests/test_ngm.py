@@ -146,3 +146,23 @@ def test_ngm_at_radius_disagreement_raises_typed_error(monkeypatch):
     monkeypatch.setattr(ngm, "SPECTRUM_MATCH_TOL", -1.0)
     with pytest.raises(bb.IdentityViolation):
         bb.ngm_at(model, bb.dfe(model))
+
+
+@pytest.mark.parametrize("case", ["casep", "caseb", "general"])
+def test_rho_reads_are_the_dense_perron_root_bit_for_bit(case):
+    # R0 and both ngm_at radii come from the eigenvalues alone; on these
+    # nonnegative products that is exactly the number perron reports.
+    # Every fourth model has a triangular A, whose (-A)^{-1} has exact zeros.
+    rng = rng0({"casep": 23, "caseb": 24, "general": 25}[case])
+    for trial in range(40):
+        m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        model = random_model(rng, m, n, case)
+        if trial % 4 == 0:
+            model = bb.BilinearModel(A=np.triu(model.A), A_S=model.A_S, B=model.B,
+                                     P=model.P, Lambda=model.Lambda)
+        S0 = bb.dfe(model)
+        assert bb.reproduction_number(model) == bb.perron(loop_ngm(model, S0)).rho
+        for S in (S0, rng.uniform(0.2, 2.0, size=m)):
+            bundle = bb.ngm_at(model, S)
+            assert bundle.R0 == bb.perron(bundle.K).rho
+            assert bb.spectral_abscissa(bundle.K_tilde) == bb.perron(bundle.K_tilde).rho
