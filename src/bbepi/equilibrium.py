@@ -60,8 +60,8 @@ def __getattr__(name):
 
 
 def dfe(model: BilinearModel) -> np.ndarray:
-    """Disease-free susceptible profile (-A_S)^{-1} Lambda."""
-    return spectral.m_inverse(model.A_S) @ model.Lambda
+    """Disease-free susceptible profile (-A_S)^{-1} Lambda (read-only)."""
+    return model.S0
 
 
 def reproduction_number(model: BilinearModel) -> float:
@@ -70,7 +70,7 @@ def reproduction_number(model: BilinearModel) -> float:
     The loop form is nonnegative, so its spectral radius is its spectral
     abscissa, read from the eigenvalues alone.
     """
-    return spectral.spectral_abscissa(ngm.loop_ngm(model, dfe(model)))
+    return spectral.spectral_abscissa(ngm.loop_ngm(model, model.S0))
 
 
 def jacobian(model: BilinearModel, state: StateVector) -> np.ndarray:
@@ -244,9 +244,8 @@ def endemic_rank_one(model: BilinearModel, rank: RankClass) -> EquilibriumReport
     _require_no_feedback(model, "endemic_rank_one")
     if rank.tag is RankTag.GENERAL:
         raise NotRankOne("endemic_rank_one requires rank-one transmission structure")
-    S0 = dfe(model)
-    Ainv = spectral.m_inverse(model.A)
-    R = ngm.replacement_vector(model, rank, Ainv)
+    S0, Ainv = model.S0, model.Ainv
+    R = ngm.replacement_vector(model, rank)
     R0 = float(S0 @ R)
     if R0 <= 1.0 or abs(R0 - 1.0) <= THRESHOLD_BAND:
         return _threshold_report(S0, R0, "rank_one",
@@ -307,9 +306,8 @@ def endemic_spectral(model: BilinearModel) -> EquilibriumReport:
     Requires C = 0 and an irreducible circulation matrix G.
     """
     _require_no_feedback(model, "endemic_spectral")
-    Ainv = spectral.m_inverse(model.A)
-    G = ngm.loop_gain(model, Ainv)
-    S0 = dfe(model)
+    G = ngm.loop_gain(model)
+    S0 = model.S0
     sd = spectral.perron(G * S0[None, :])
     R0 = sd.rho
     if R0 <= 1.0 or abs(R0 - 1.0) <= THRESHOLD_BAND:
@@ -346,7 +344,7 @@ def endemic_spectral(model: BilinearModel) -> EquilibriumReport:
             raise NoConvergence("Newton step on u = B I cannot keep u positive")
         u = u - step
 
-    S_bar, I_bar = S, Ainv @ (model.P @ (S * u))
+    S_bar, I_bar = S, model.Ainv @ (model.P @ (S * u))
 
     rho_at = spectral.spectral_abscissa(ngm.loop_ngm(model, S_bar, gain=G))
     if abs(rho_at - 1.0) > SPECTRAL_RADIUS_TOL:
@@ -440,11 +438,10 @@ def feedback_analysis(model: BilinearModel, rank: RankClass
     """
     if rank.alpha_n is None:
         raise NotCaseP("feedback analysis requires a shared routing column")
-    S0 = dfe(model)
-    Ainv = spectral.m_inverse(model.A)
-    R = ngm.replacement_vector(model, rank, Ainv)
+    S0 = model.S0
+    R = ngm.replacement_vector(model, rank)
     R0 = float(S0 @ R)
-    D_w = ngm.dwell_times(model, rank, Ainv=Ainv)
+    D_w = ngm.dwell_times(model, rank)
     CD = model.C @ D_w
     DR = np.diag(R)
 

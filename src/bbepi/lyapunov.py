@@ -63,11 +63,10 @@ def _dfe_data(model: BilinearModel, rank: RankClass):
     if rank.alpha_n is None:
         raise NotCaseP("the disease-free certificate requires a shared routing column")
     _require_diagonal_As(model)
-    S0 = eq.dfe(model)
-    Ainv = spectral.m_inverse(model.A)
-    R = ngm.replacement_vector(model, rank, Ainv)
+    S0 = model.S0
+    R = ngm.replacement_vector(model, rank)
     R0 = float(S0 @ R)
-    w = (S0 @ model.B) @ Ainv  # linear I-weights
+    w = (S0 @ model.B) @ model.Ainv  # linear I-weights
     mu = -np.diag(model.A_S)
     return S0, R0, w, mu
 
@@ -117,7 +116,7 @@ def ee_weights(model: BilinearModel, S_bar: float | np.ndarray) -> np.ndarray:
         raise NotRankOne("endemic weights are defined for a single susceptible class")
     S_bar = float(np.asarray(S_bar).ravel()[0])
     beta = model.B[0]
-    a = S_bar * (beta @ spectral.m_inverse(model.A))
+    a = S_bar * (beta @ model.Ainv)
     err = float(np.max(np.abs(a @ model.A + S_bar * beta)))
     if not err <= WEIGHT_TOL * max(1.0, S_bar * float(np.max(np.abs(beta)))):
         raise IdentityViolation(f"weight identity a A = -S_bar beta violated by {err:.3e}")

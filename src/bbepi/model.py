@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class RankTag(enum.Enum):
 
 
 def _as_matrix(x, shape, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
+    arr = np.array(x, dtype=float)
     if arr.shape != shape:
         raise DimensionMismatch(f"{name} has shape {arr.shape}, expected {shape}")
     return arr
@@ -51,8 +52,11 @@ class BilinearModel:
     """Immutable matrix bundle (A, A_S, B, P, Lambda, C).
 
     Shapes: A is n x n, A_S is m x m, B is m x n, P is n x m, Lambda is
-    length m, C is m x n (zeros when omitted). Arrays are coerced to float64
-    and marked read-only, so instances are safe to share between threads.
+    length m, C is m x n (zeros when omitted). The model owns read-only
+    float64 copies of its arrays, so instances are safe to share between
+    threads. S0 = (-A_S)^{-1} Lambda and Ainv = (-A)^{-1} are computed on
+    first use and kept, read-only (a SingularMatrix is raised on every use,
+    not kept); a concurrent first use may compute one twice, to the same bits.
     """
 
     A: np.ndarray
@@ -63,9 +67,9 @@ class BilinearModel:
     C: np.ndarray | None = None
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
+        A = np.atleast_2d(np.array(self.A, dtype=float))
         n = A.shape[0]
-        A_S = np.atleast_2d(np.asarray(self.A_S, dtype=float))
+        A_S = np.atleast_2d(np.array(self.A_S, dtype=float))
         m = A_S.shape[0]
         if A.shape != (n, n):
             raise DimensionMismatch(f"A must be square, got {A.shape}")
@@ -89,6 +93,20 @@ class BilinearModel:
                           ("_Bt", B.T), ("_E", E)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @cached_property
+    def S0(self) -> np.ndarray:
+        """Disease-free susceptible profile (-A_S)^{-1} Lambda."""
+        S0 = spectral.m_inverse(self.A_S) @ self.Lambda
+        S0.setflags(write=False)
+        return S0
+
+    @cached_property
+    def Ainv(self) -> np.ndarray:
+        """Mean residence operator (-A)^{-1}."""
+        Ainv = spectral.m_inverse(self.A)
+        Ainv.setflags(write=False)
+        return Ainv
 
     @property
     def m(self) -> int:
@@ -116,16 +134,8 @@ class BilinearModel:
         return self._c + x @ self._L + (x[..., :m] * (x[..., m:] @ self._Bt)) @ self._E
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "A": self.A.tolist(),
-            "A_S": self.A_S.tolist(),
-            "B": self.B.tolist(),
-            "P": self.P.tolist(),
-            "Lambda": self.Lambda.tolist(),
-            "C": self.C.tolist(),
-        }
+        return {"m": self.m, "n": self.n,
+                **{k: getattr(self, k).tolist() for k in _MODEL_KEYS[2:] + ("C",)}}
 
 
 @dataclass(frozen=True)

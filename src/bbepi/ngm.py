@@ -54,9 +54,8 @@ def ngm_at(model: BilinearModel, S: np.ndarray) -> NgmBundle:
     if np.any(S < 0):
         raise NonPositiveState("susceptible profile must be entrywise nonnegative")
     F = force_of_infection(model, S)
-    Ainv = spectral.m_inverse(model.A)
-    K = F @ Ainv
-    K_tilde = Ainv @ F
+    K = F @ model.Ainv
+    K_tilde = model.Ainv @ F
     rho_K = spectral.spectral_abscissa(K)
     rho_Kt = spectral.spectral_abscissa(K_tilde)
     gap = abs(rho_K - rho_Kt)
@@ -65,15 +64,14 @@ def ngm_at(model: BilinearModel, S: np.ndarray) -> NgmBundle:
     return NgmBundle(F=F, K=K, K_tilde=K_tilde, R0=rho_K, at_state=S)
 
 
-def loop_gain(model: BilinearModel, Ainv: np.ndarray | None = None) -> np.ndarray:
+def loop_gain(model: BilinearModel) -> np.ndarray:
     """Susceptible-side circulation matrix B (-A)^{-1} P (m x m).
 
     Its column-rescaling by a profile S, loop_ngm, shares its nonzero
     spectrum with K(S), which makes the threshold condition an m-dimensional
-    statement even when n is large. Ainv, when given, is m_inverse(model.A).
+    statement even when n is large.
     """
-    Ainv = spectral.m_inverse(model.A) if Ainv is None else Ainv
-    return model.B @ Ainv @ model.P
+    return model.B @ model.Ainv @ model.P
 
 
 def loop_ngm(model: BilinearModel, S: np.ndarray,
@@ -84,40 +82,34 @@ def loop_ngm(model: BilinearModel, S: np.ndarray,
     return G * S[None, :]
 
 
-def replacement_vector(model: BilinearModel, rank: RankClass,
-                       Ainv: np.ndarray | None = None) -> np.ndarray:
+def replacement_vector(model: BilinearModel, rank: RankClass) -> np.ndarray:
     """Per-susceptible-class infectivity weights R with S0 . R = R0.
 
     Shared-routing models take R = B (-A)^{-1} alpha_n; rank-one B models
     take R_i = alpha_m[i] * (beta (-A)^{-1} p_i). When both structures hold
-    the two formulas agree and the first is used. Ainv, when given, is
-    m_inverse(model.A).
+    the two formulas agree and the first is used.
     """
-    Ainv = spectral.m_inverse(model.A) if Ainv is None else Ainv
     if rank.alpha_n is not None:
-        return model.B @ Ainv @ rank.alpha_n
+        return model.B @ model.Ainv @ rank.alpha_n
     if rank.alpha_m is not None:
-        return rank.alpha_m * (rank.beta @ Ainv @ model.P)
+        return rank.alpha_m * (rank.beta @ model.Ainv @ model.P)
     raise NotRankOne("replacement vector requires rank-one transmission structure")
 
 
 def dwell_times(model: BilinearModel, rank: RankClass,
-                S_bar: np.ndarray | None = None,
-                Ainv: np.ndarray | None = None) -> np.ndarray:
+                S_bar: np.ndarray | None = None) -> np.ndarray:
     """Expected time-in-compartment profile D_w = (-A)^{-1} alpha_eff.
 
     alpha_eff is the routing column alpha_n for shared-routing models; for
     rank-one B it is P Diag(S_bar) alpha_m and requires the endemic profile.
-    Ainv, when given, is m_inverse(model.A).
     """
-    Ainv = spectral.m_inverse(model.A) if Ainv is None else Ainv
     if rank.alpha_n is not None:
-        return Ainv @ rank.alpha_n
+        return model.Ainv @ rank.alpha_n
     if rank.alpha_m is not None:
         if S_bar is None:
             raise NotRankOne("dwell times for rank-one B require the endemic profile")
         S_bar = np.asarray(S_bar, dtype=float).ravel()
-        return Ainv @ (model.P @ (S_bar * rank.alpha_m))
+        return model.Ainv @ (model.P @ (S_bar * rank.alpha_m))
     raise NotRankOne("dwell times require rank-one transmission structure")
 
 
@@ -159,8 +151,7 @@ def eig_table(model: BilinearModel, rank: RankClass) -> EigTable:
     S0 here is the inflow equilibrium (-A_S)^{-1} Lambda. Models satisfying
     both structures use the shared-routing forms.
     """
-    Ainv = spectral.m_inverse(model.A)
-    S0 = spectral.m_inverse(model.A_S) @ model.Lambda
+    Ainv, S0 = model.Ainv, model.S0
     S0B = S0 @ model.B
     if rank.alpha_n is not None:
         w_K = rank.alpha_n

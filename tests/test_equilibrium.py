@@ -1,5 +1,7 @@
 """Threshold behavior, endemic solvers, determinant identity, feedback roots."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import bbepi as bb
+from bbepi import cli
 from bbepi import equilibrium as eq
 from bbepi import spectral
 from bbepi.ngm import loop_ngm
@@ -504,7 +507,7 @@ def test_feedback_roots_match_dense_sign_scan(seed, m, n, r0, strength,
     assert len(rep.endemic_points) == len(oracle)
 
 
-def _solver_cases():
+def _solver_models():
     rng = rng0(95)
     above = with_r0(random_model(rng, 2, 3, "casep"), 1.8)
     below = with_r0(random_model(rng, 2, 3, "caseb"), 0.6)
@@ -513,26 +516,49 @@ def _solver_cases():
     fb = bb.BilinearModel(A=fb.A, A_S=fb.A_S, B=fb.B, P=fb.P, Lambda=fb.Lambda,
                           C=feedback_C(fb, rng))
     dfe_model = with_r0(diagonal_As(random_model(rng, 2, 2, "casep"), rng), 0.6)
+    scalar = with_r0(random_model(rng, 1, 3, "caseb"), 2.5)
+    return above, below, general, fb, dfe_model, scalar
+
+
+def _solver_cases():
+    # Each case builds its models inside the test, so that their resolvents
+    # are first computed there, under the counting patch.
     cfg = bb.SamplingConfig(n_trajectories=2, horizon=1.0)
+
+    def model(i):
+        return lambda: _solver_models()[i]
 
     def rank_one(m):
         return eq.endemic_rank_one(m, bb.classify_rank(m))
 
+    def analyze_op(m):
+        # The library calls of `bbepi analyze` on a feedback-free model.
+        bb.validate_model(m)
+        rank = bb.classify_rank(m)
+        bb.reproduction_number(m)
+        if rank.tag is bb.RankTag.GENERAL:
+            return bb.endemic_spectral(m)
+        bb.eig_table(m, rank)
+        report = eq.endemic_rank_one(m, rank)
+        if m.m == 1 and report.R0 > 1.0:
+            assert bb.determinant_law(m, rank, report).holds
+
     return [
-        pytest.param(above, rank_one, id="rank_one-above"),
-        pytest.param(below, rank_one, id="rank_one-below"),
-        pytest.param(general, eq.endemic_spectral, id="spectral"),
-        pytest.param(fb, lambda m: eq.feedback_analysis(m, bb.classify_rank(m)),
+        pytest.param(model(0), rank_one, id="rank_one-above"),
+        pytest.param(model(1), rank_one, id="rank_one-below"),
+        pytest.param(model(2), eq.endemic_spectral, id="spectral"),
+        pytest.param(model(3), lambda m: eq.feedback_analysis(m, bb.classify_rank(m)),
                      id="feedback"),
-        pytest.param(dfe_model, lambda m: bb.verify_decrease(m, "dfe", cfg),
+        pytest.param(model(4), lambda m: bb.verify_decrease(m, "dfe", cfg),
                      id="certificate-dfe"),
+        pytest.param(model(5), analyze_op, id="analyze-rank_one"),
+        pytest.param(model(1), analyze_op, id="analyze-below"),
+        pytest.param(model(2), analyze_op, id="analyze-general"),
     ]
 
 
-@pytest.mark.parametrize("model, solve", _solver_cases())
-def test_each_solver_call_inverts_A_once(monkeypatch, model, solve):
-    # (-A)^{-1} is computed once per call and handed to every helper that
-    # reads it; timings alone would not show a second inversion.
+def _count_inversions(monkeypatch) -> list:
+    """Patch spectral.m_inverse to record every matrix it inverts."""
     real, seen = spectral.m_inverse, []
 
     def counting(A):
@@ -540,5 +566,35 @@ def test_each_solver_call_inverts_A_once(monkeypatch, model, solve):
         return real(A)
 
     monkeypatch.setattr(spectral, "m_inverse", counting)
+    return seen
+
+
+@pytest.mark.parametrize("build, solve", _solver_cases())
+def test_each_solver_call_inverts_A_once(monkeypatch, build, solve):
+    # (-A)^{-1} and S0 = (-A_S)^{-1} Lambda are computed once per model and
+    # kept on it; timings alone would not show a second inversion.
+    model = build()
+    seen = _count_inversions(monkeypatch)
     solve(model)
+    assert len(seen) == 2
     assert sum(A is model.A for A in seen) == 1
+    assert sum(A is model.A_S for A in seen) == 1
+    seen.clear()
+    solve(model)  # a second pass on the same model inverts nothing
+    assert seen == []
+
+
+def test_analyze_inverts_A_and_A_S_once(monkeypatch, tmp_path):
+    model = with_r0(random_model(rng0(101), 1, 3, "casep"), 2.0)
+    path = tmp_path / "m.model"
+    path.write_text(json.dumps(model.to_dict()))
+    seen = _count_inversions(monkeypatch)
+    assert cli.main(["analyze", str(path), "--out", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "analysis.json").read_text())
+    assert "replacement_vector" in doc and "dwell_times" in doc
+    assert doc["determinant_law"]["holds"] is True
+    # One inversion of A (3 x 3) and one of A_S (1 x 1) for the whole run.
+    by_shape = {A.shape: A for A in seen}
+    assert len(seen) == 2 and sorted(by_shape) == [(1, 1), (3, 3)]
+    assert np.array_equal(by_shape[(3, 3)], model.A)
+    assert np.array_equal(by_shape[(1, 1)], model.A_S)

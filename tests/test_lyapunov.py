@@ -271,7 +271,10 @@ def test_verify_decrease_csv_cells_are_exact_floats(sir):
 
 def test_failed_identity_raises_typed_error(sir, monkeypatch):
     # A wrong resolvent breaks the weight identity a A = -S_bar beta; the
-    # check must raise, not assert (asserts vanish under python -O).
+    # check must raise, not assert (asserts vanish under python -O). The
+    # fixture builds a fresh model, so its cached (-A)^{-1} is first computed
+    # here, through the patch.
+    assert "Ainv" not in vars(sir)
     real = spectral.m_inverse
     monkeypatch.setattr(spectral, "m_inverse", lambda A: 2.0 * real(A))
     with pytest.raises(bb.IdentityViolation):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import bbepi as bb
-from conftest import feedback_C, random_model, random_stochastic_columns
+from bbepi.cli import _set_entry
+from conftest import feedback_C, random_model, random_stochastic_columns, with_r0
 
 rng0 = np.random.default_rng
 
@@ -200,3 +201,60 @@ def test_fused_field_matches_block_formula(seed, feedback):
 def test_fused_field_operators_are_read_only(sir):
     for arr in (sir._c, sir._L, sir._Bt, sir._E):
         assert not arr.flags.writeable
+
+
+def test_model_copies_the_callers_arrays():
+    # A view of the caller's array used to become the model's A and be
+    # frozen in place, and later writes through the caller's array moved
+    # the "immutable" model.
+    base = np.array([[-2.0, 0.5], [0.5, -2.0]])
+    view = base[:, :]
+    model = bb.BilinearModel(A=view, A_S=[[-1.0]], B=[[1.0, 1.0]],
+                             P=[[0.5], [0.5]], Lambda=[1.0])
+    R0, Ainv = bb.reproduction_number(model), model.Ainv.copy()
+    assert view.flags.writeable and base.flags.writeable
+    base[0, 0] = -10.0
+    assert model.A[0, 0] == -2.0
+    assert np.array_equal(model.Ainv, Ainv)
+    assert bb.reproduction_number(model) == R0
+
+
+def test_cached_resolvents_are_the_exact_inverses():
+    rng = rng0(11)
+    for case in ("casep", "caseb", "general"):
+        model = random_model(rng, 3, 4, case)
+        assert np.array_equal(model.Ainv, bb.m_inverse(model.A))
+        assert np.array_equal(model.S0, bb.m_inverse(model.A_S) @ model.Lambda)
+        assert model.Ainv is model.Ainv and model.S0 is model.S0
+        for arr in (model.Ainv, model.S0):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
+def test_singular_resolvent_raises_on_every_access():
+    # A SingularMatrix is not kept, so no later read sees a stale value.
+    model = bb.BilinearModel(A=[[0.5]], A_S=[[0.25]], B=[[1.0]], P=[[1.0]],
+                             Lambda=[1.0])
+    for _ in range(2):
+        with pytest.raises(bb.SingularMatrix):
+            model.Ainv
+        with pytest.raises(bb.SingularMatrix):
+            model.S0
+
+
+def test_rebuilt_models_get_fresh_resolvents():
+    rng = rng0(12)
+    model = random_model(rng, 2, 3, "casep")
+    Ainv, S0 = model.Ainv, model.S0
+    scaled = with_r0(model, 2.0)
+    assert np.array_equal(scaled.Ainv, Ainv) and scaled.Ainv is not Ainv
+    A = model.A.copy()
+    A[0, 0] -= 1.0
+    moved = _set_entry(model, "A", 0, 0, float(A[0, 0]))
+    assert np.array_equal(moved.Ainv, bb.m_inverse(A))
+    assert not np.array_equal(moved.Ainv, Ainv)
+    moved = _set_entry(model, "Lambda", 1, None, 3.0)
+    assert moved.S0 == pytest.approx(np.linalg.solve(-model.A_S, [model.Lambda[0], 3.0]),
+                                     rel=1e-12)
+    assert not np.array_equal(moved.S0, S0)

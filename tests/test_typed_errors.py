@@ -20,6 +20,19 @@ def test_library_has_no_assert_statements():
     assert not found, f"assert statements in src/bbepi: {found}"
 
 
+def test_only_the_model_inverts_its_matrices():
+    # (-A)^{-1} and (-A_S)^{-1} are computed once per model, by its cached
+    # S0 and Ainv; a call of m_inverse anywhere else inverts again per call.
+    found = []
+    for path in sorted((SRC / "bbepi").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and "m_inverse" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None))]
+    assert found and all(f.startswith("model.py:") for f in found), found
+
+
 def test_m_inverse_sign_check_survives_optimized_mode():
     code = ("import numpy as np, bbepi as bb\n"
             "try:\n"
