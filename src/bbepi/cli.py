@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import crn, ngm, sim
+from . import crn, ngm, sim, spectral
 from . import equilibrium as eq
 from . import lyapunov as lyap
 from .errors import (AnalysisError, BelowThreshold, InvalidModel,
@@ -277,11 +277,15 @@ def cmd_scan(args) -> int:
         (int(m.group(3)) if m.group(3) is not None else None)
     try:
         lo_s, hi_s, num_s = args.grid.split(":")
-        grid = np.linspace(float(lo_s), float(hi_s), int(num_s))
+        lo, hi, num = float(lo_s), float(hi_s), int(num_s)
     except ValueError:
         raise ParseError(f"--grid must be lo:hi:num, got {args.grid!r}")
-    if grid.size < 1:
+    if not np.isfinite(hi - lo):  # a nan or infinite bound, or an overflowing span
+        raise ParseError(f"--grid needs finite bounds less than 1.8e308 apart, "
+                         f"got {args.grid!r}")
+    if num < 1:
         raise ParseError(f"--grid needs num >= 1, got {args.grid!r}")
+    grid = np.linspace(lo, hi, num)
 
     # A point whose solve fails keeps its row, with empty root cells and the
     # error in a trailing note column; the run still fails, after the write.
@@ -298,7 +302,11 @@ def cmd_scan(args) -> int:
             if not is_solver_failure(exc):
                 raise
             failures.append(exc)
-            rows.append((float(value), eq.reproduction_number(point), None, None,
+            try:
+                R0 = eq.reproduction_number(point)
+            except AnalysisError:
+                R0 = None  # e.g. S0 overflowed; the note names the first failure
+            rows.append((float(value), R0, None, None,
                          False, f"{type(exc).__name__}: {exc}"))
             continue
         rows.append((float(value), law.R0, law.roots, law.saddle_flags,
@@ -313,7 +321,8 @@ def cmd_scan(args) -> int:
     out_lines = [",".join(header)]
     for value, R0, roots, saddles, backward, note in rows:
         if roots is None:
-            cells = [_fmt(value), _fmt(R0), "", ""] + ["", ""] * max_roots
+            cells = [_fmt(value), "" if R0 is None else _fmt(R0), "", ""] \
+                + ["", ""] * max_roots
         else:
             cells = [_fmt(value), _fmt(R0), str(len(roots)), str(backward).lower()]
             for r in range(max_roots):
@@ -402,7 +411,7 @@ def cmd_siphons(args) -> int:
         except AnalysisError as exc:
             unfound(s, str(exc))
             continue
-        sa = float(np.max(np.linalg.eigvals(blocks.J_perp).real)) \
+        sa = spectral.spectral_abscissa(blocks.J_perp) \
             if blocks.J_perp.size else float("-inf")
         lines.append(f"  {_names(s.indices)}: J_perp={_fmt_mat(blocks.J_perp)}, "
                      f"transversal spectral abscissa={_fmt(sa)}")
@@ -464,6 +473,14 @@ def _positive(cast):
     return positive
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type: an integer >= 0 (what numpy's default_rng accepts)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, model_input: bool = True,
                 i_species: bool = True):
     """The input path and --out; --input-format and --i-species where read."""
@@ -497,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectories", type=_positive(int), default=20)
     p.add_argument("--horizon", type=_positive(float), default=200.0)
     p.add_argument("--step", type=_positive(float), default=0.01)
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_nonnegative_int, default=0,
+                   help="RNG seed, a nonnegative integer (default 0)")
     p.set_defaults(func=cmd_lyapunov)
 
     p = sub.add_parser("scan", help="sweep one matrix entry, tabulate roots")

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import ngm, spectral
 from .errors import (BelowThreshold, IdentityViolation, NoConvergence,
-                     NotApplicable, NotCaseP, NotRankOne)
+                     NotApplicable, NotCaseP, NotRankOne, SingularMatrix)
 from .model import BilinearModel, RankClass, RankTag, StateVector
 
 THRESHOLD_BAND = 1e-9
@@ -86,7 +86,7 @@ def jacobian(model: BilinearModel, state: StateVector) -> np.ndarray:
 def residual_inf(model: BilinearModel, S: np.ndarray, I: np.ndarray) -> float:
     """Sup-norm of the vector field at (S, I)."""
     x = np.concatenate([np.asarray(S, float).ravel(), np.asarray(I, float).ravel()])
-    return float(np.max(np.abs(model.rhs(x))))
+    return float(abs(model.rhs(x)).max())
 
 
 @dataclass(frozen=True)
@@ -189,16 +189,17 @@ def _amplitude_roots(A_S: np.ndarray, Lambda: np.ndarray, R: np.ndarray,
     k (Diag(a) - c R^T) x = (A_S + Lambda R^T) x (x scaled to R . x = 1),
     multiplicities included (matrix determinant lemma). The left side is
     singular when H(infinity) = 1 or some a_i is tiny, the right when
-    H(0) = R0 = 1; the side with the smaller condition number is inverted,
-    and mu = 1/k ~ 0 there stands for k = infinity. Real positive roots
-    within ROOT_REL_TOL of each other (a split real or a conjugate pair) are
-    one double root at their mean. Returns the sorted roots and whether
-    k = infinity was dropped.
+    H(0) = R0 = 1; the side with the smaller condition number (both read
+    off one SVD of the stacked pair) is inverted, and mu = 1/k ~ 0 there
+    stands for k = infinity. Real positive roots within ROOT_REL_TOL of
+    each other (a split real or a conjugate pair) are one double root at
+    their mean. Returns the sorted roots and whether k = infinity was
+    dropped.
     """
     K = a != 0.0
     J = ~K
     if J.any():
-        X = np.linalg.solve(A_S[np.ix_(J, J)], np.column_stack(
+        X = spectral.solve(A_S[np.ix_(J, J)], np.column_stack(
             [A_S[np.ix_(J, K)], Lambda[J], c[J]]))
         A_KJ = A_S[np.ix_(K, J)]
         A_S = A_S[np.ix_(K, K)] - A_KJ @ X[:, :-2]
@@ -206,18 +207,19 @@ def _amplitude_roots(A_S: np.ndarray, Lambda: np.ndarray, R: np.ndarray,
         c = c[K] - A_KJ @ X[:, -1]
         R, a = R[K], a[K]
 
-    lhs = np.diag(a) - np.outer(c, R)
-    rhs = A_S + np.outer(Lambda, R)
+    pair = np.array([np.diag(a) - np.outer(c, R), A_S + np.outer(Lambda, R)])
+    lhs, rhs = pair
     try:
         # cond is undefined on 0 x 0 matrices: with every class eliminated
         # the law is H = 0 and both sides are empty.
-        if not a.size or np.linalg.cond(lhs) <= np.linalg.cond(rhs):
-            k, at_infinity = np.linalg.eigvals(np.linalg.solve(lhs, rhs)), False
+        cond_lhs, cond_rhs = spectral.cond(pair) if a.size else (0.0, 0.0)
+        if cond_lhs <= cond_rhs:
+            k, at_infinity = spectral.eigvals(spectral.solve(lhs, rhs)), False
         else:
-            mu = np.linalg.eigvals(np.linalg.solve(rhs, lhs))
-            finite = np.abs(mu) > INFINITE_ROOT_TOL * np.max(np.abs(mu))
+            mu = spectral.eigvals(spectral.solve(rhs, lhs))
+            finite = abs(mu) > INFINITE_ROOT_TOL * abs(mu).max()
             k, at_infinity = 1.0 / mu[finite], not finite.all()
-    except np.linalg.LinAlgError:
+    except (SingularMatrix, NoConvergence):
         raise NoConvergence("amplitude law is degenerate: k = 0 and "
                             "k = infinity both solve it") from None
     real = np.sort(k.real[(k.real > 0.0) & (np.abs(k.imag) <= ROOT_REL_TOL * np.abs(k))])
@@ -260,7 +262,7 @@ def endemic_rank_one(model: BilinearModel, rank: RankClass) -> EquilibriumReport
                             f"{roots}, expected exactly one")
     (k_star,) = roots
 
-    S_bar = np.linalg.solve(k_star * np.diag(a) - model.A_S, model.Lambda)
+    S_bar = spectral.solve(k_star * np.diag(a) - model.A_S, model.Lambda)
     if shared_routing:
         I_bar = k_star * (Ainv @ rank.alpha_n)
     else:
@@ -325,7 +327,7 @@ def endemic_spectral(model: BilinearModel) -> EquilibriumReport:
     u = seeds[0] * v
     for iters in range(NEWTON_MAXITER + 1):
         M = np.diag(u) - model.A_S
-        S = np.linalg.solve(M, model.Lambda)
+        S = spectral.solve(M, model.Lambda)
         F = u - G @ (S * u)
         F_inf = float(np.max(np.abs(F)))
         if F_inf <= NEWTON_TOL * float(np.max(u)):
@@ -334,8 +336,8 @@ def endemic_spectral(model: BilinearModel) -> EquilibriumReport:
             raise NoConvergence(f"Newton on u = B I did not converge in {iters} "
                                 f"iterations (||F||_inf = {F_inf:.3e})")
         J = (np.eye(model.m) - G * S[None, :]
-             + (G * u[None, :]) @ np.linalg.solve(M, np.diag(S)))
-        step = np.linalg.solve(J, F)
+             + (G * u[None, :]) @ spectral.solve(M, np.diag(S)))
+        step = spectral.solve(J, F)
         for _ in range(MAX_HALVINGS):
             if np.all(u - step > 0.0):
                 break
@@ -403,10 +405,10 @@ def determinant_law(model: BilinearModel, rank: RankClass,
     pt = report.endemic_points[0]
     J_dfe = jacobian(model, StateVector(S0, np.zeros(model.n)))
     J_ee = jacobian(model, StateVector(pt.S_bar, pt.I_bar))
-    det_dfe = float(np.linalg.det(J_dfe))
-    det_ee = float(np.linalg.det(J_ee))
+    det_dfe = float(spectral.det(J_dfe))
+    det_ee = float(spectral.det(J_ee))
     mu = -float(model.A_S[0, 0])
-    detA = float(np.linalg.det(model.A))
+    detA = float(spectral.det(model.A))
     cf_dfe = -mu * detA * (1.0 - R0)
     cf_ee = mu * detA * (1.0 - R0)
     scale = max(1.0, abs(det_dfe), abs(det_ee))
@@ -446,11 +448,11 @@ def feedback_analysis(model: BilinearModel, rank: RankClass
     DR = np.diag(R)
 
     def H(k: float) -> float:
-        M = np.linalg.inv(k * DR - model.A_S)
+        M = spectral.inv(k * DR - model.A_S)
         return float(R @ (M @ (model.Lambda + k * CD)))
 
     def H_prime(k: float) -> float:
-        M = np.linalg.inv(k * DR - model.A_S)
+        M = spectral.inv(k * DR - model.A_S)
         inner = M @ (model.Lambda + k * CD)
         return float(R @ (-M @ (DR @ inner) + M @ CD))
 
@@ -470,8 +472,8 @@ def feedback_analysis(model: BilinearModel, rank: RankClass
     derivs = [H_prime(r) for r in roots]
     flags = [abs(r * d) <= DOUBLE_ROOT_DERIV_TOL for r, d in zip(roots, derivs)]
 
-    mu = -np.diag(model.A_S)
-    unique_ok = bool(np.max(CD) < np.min(mu) / np.max(R)) if np.max(R) > 0 else True
+    mu = -model.A_S.diagonal()
+    unique_ok = bool(CD.max() < mu.min() / R.max()) if R.max() > 0 else True
 
     law = ScalarLaw(kind="feedback_amplitude", R0=R0, H=H, H_prime=H_prime,
                     roots=roots, deriv_at_roots=derivs,
@@ -488,12 +490,12 @@ def feedback_analysis(model: BilinearModel, rank: RankClass
                          "as when 1^T C D_w = 1); finite roots only")
     for r, fl in zip(roots, flags):
         I_bar = r * D_w
-        S_bar = np.linalg.solve(r * DR - model.A_S, model.Lambda + model.C @ I_bar)
-        if np.any(S_bar < 0) or np.any(I_bar < 0):
+        S_bar = spectral.solve(r * DR - model.A_S, model.Lambda + model.C @ I_bar)
+        if (S_bar < 0).any() or (I_bar < 0).any():
             rep.notes.append(f"root k={r:.6g} produced a sign-violating point; skipped")
             continue
         res = residual_inf(model, S_bar, I_bar)
-        scale = 1.0 + float(np.max(np.abs(np.concatenate([S_bar, I_bar]))))
+        scale = 1.0 + float(abs(np.concatenate([S_bar, I_bar])).max())
         if not res <= RESIDUAL_TOL * scale:
             rep.notes.append(f"root k={r:.6g} produced a point with residual "
                              f"{res:.3e}; skipped")

@@ -32,7 +32,8 @@ import numpy as np
 from . import equilibrium as eq
 from . import ngm, sim, spectral
 from .errors import (BelowThreshold, IdentityViolation, NonDiagonalAS,
-                     NonPositiveState, NotCaseP, NotRankOne, NotRegularSplitting)
+                     NonPositiveState, NotCaseP, NotRankOne, NotRegularSplitting,
+                     SingularMatrix)
 from .model import BilinearModel, RankClass, RankTag, StateVector
 from .model import classify_rank
 
@@ -210,8 +211,8 @@ def v_transversal(F: np.ndarray, V_mat: np.ndarray, pi: np.ndarray,
     if np.any(F < 0.0):
         raise NotRegularSplitting("gain part F must be entrywise nonnegative")
     try:
-        Vinv = np.linalg.inv(V_mat)
-    except np.linalg.LinAlgError as exc:
+        Vinv = spectral.inv(V_mat)
+    except SingularMatrix as exc:
         raise NotRegularSplitting("loss part V must be invertible") from exc
     if float(np.min(Vinv)) < -1e-12 * max(1.0, float(np.max(np.abs(Vinv)))):
         raise NotRegularSplitting("V^{-1} has a negative entry; splitting not regular")

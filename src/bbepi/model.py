@@ -241,8 +241,8 @@ def _hurwitz_check(M: np.ndarray, name: str) -> CheckResult:
 
 
 def _metzler_check(M: np.ndarray, name: str) -> CheckResult:
-    off = M - np.diag(np.diag(M))
-    worst = float(np.min(off))
+    off = M - np.diag(M.diagonal())
+    worst = float(off.min())
     if worst >= 0.0:
         return CheckResult(f"{name}.metzler", "pass")
     i, j = np.unravel_index(np.argmin(off), off.shape)
@@ -251,7 +251,7 @@ def _metzler_check(M: np.ndarray, name: str) -> CheckResult:
 
 
 def _nonneg_check(M: np.ndarray, name: str) -> CheckResult:
-    worst = float(np.min(M))
+    worst = float(M.min())
     if worst >= 0.0:
         return CheckResult(f"{name}.nonnegative", "pass")
     idx = np.unravel_index(np.argmin(M), M.shape)
@@ -278,7 +278,7 @@ def validate_model(model: BilinearModel) -> ValidationReport:
     rep.checks.append(_nonneg_check(model.C, "C"))
 
     colsums = model.P.sum(axis=0)
-    err = float(np.max(np.abs(colsums - 1.0))) if colsums.size else 0.0
+    err = float(abs(colsums - 1.0).max()) if colsums.size else 0.0
     if err <= COLSUM_TOL:
         rep.checks.append(CheckResult("P.column_stochastic", "pass",
                                       f"max |colsum-1| = {err:.3e}"))
@@ -287,7 +287,7 @@ def validate_model(model: BilinearModel) -> ValidationReport:
         rep.checks.append(CheckResult("P.column_stochastic", "fail",
                                       f"column {j} sums to {colsums[j]:.12g}"))
 
-    if np.all(model.B == 0.0):
+    if (model.B == 0.0).all():
         rep.checks.append(CheckResult("B.nonzero", "fail",
                                       "B is identically zero; no transmission"))
     else:
@@ -325,18 +325,18 @@ def classify_rank(model: BilinearModel) -> RankClass:
     DegenerateB
         When B is identically zero, which supports no classification.
     """
-    if np.all(model.B == 0.0):
+    if (model.B == 0.0).all():
         raise DegenerateB("B is identically zero")
 
     P, B = model.P, model.B
     alpha_n = None
     mean_col = P.mean(axis=1)
-    scale = max(1.0, float(np.max(np.abs(P))))
-    if np.max(np.abs(P - mean_col[:, None])) <= RANK_TOL * scale:
+    scale = max(1.0, float(abs(P).max()))
+    if abs(P - mean_col[:, None]).max() <= RANK_TOL * scale:
         alpha_n = mean_col
 
     alpha_m = beta = None
-    U, s, Vt = np.linalg.svd(B)
+    U, s, Vt = spectral.svd(B)
     if s.size == 1 or s[1] <= RANK_TOL * s[0]:
         u = U[:, 0]
         v = Vt[0, :]
@@ -345,7 +345,7 @@ def classify_rank(model: BilinearModel) -> RankClass:
         usum = float(u.sum())
         alpha_m = u / usum
         beta = s[0] * usum * v
-        beta = np.where(np.abs(beta) < 1e-14 * np.max(np.abs(beta)), 0.0, beta)
+        beta = np.where(abs(beta) < 1e-14 * abs(beta).max(), 0.0, beta)
 
     if alpha_n is not None and alpha_m is not None:
         tag = RankTag.BOTH

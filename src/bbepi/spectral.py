@@ -1,11 +1,11 @@
-"""Spectral kernel for nonnegative and Metzler matrices.
+"""Spectral kernel for nonnegative and Metzler matrices, and every LAPACK call.
 
 Provides the Perron root/vector machinery the rest of the package leans on:
-irreducibility testing, one dense eigen kernel (np.linalg.eig of M and M^T
-at the rightmost eigenvalue), resolvent inverses of Hurwitz Metzler
-matrices, and the rank-one adjugate identity at the rightmost eigenvalue
-(diagonal cofactors proportional to the product of the right and left
-Perron vectors).
+irreducibility testing, one dense eigen kernel (eig of M and M^T at the
+rightmost eigenvalue), resolvent inverses of Hurwitz Metzler matrices, and
+the rank-one adjugate identity at the rightmost eigenvalue (diagonal
+cofactors proportional to the product of the right and left Perron
+vectors).
 
 Reads that need the Perron root alone use spectral_abscissa (one eigvals,
 no vectors, no irreducibility test). For a nonnegative matrix the
@@ -13,6 +13,15 @@ Perron-Frobenius theorem makes the spectral radius equal to the spectral
 abscissa, and LAPACK's dgeev returns the same eigenvalues whether or not it
 also computes eigenvectors, so the number equals perron(M).rho bit for bit
 (the tests check this on next-generation matrices).
+
+This module is the package's one owner of dense linear algebra. The
+kernels eigvals, eig, solve, inv, svd, svdvals, det and cond call numpy's
+float64 LAPACK gufuncs (numpy.linalg._umath_linalg, numpy >= 2) directly:
+on the package's small matrices the np.linalg wrappers cost several times
+the LAPACK call itself. Each kernel returns the bits its np.linalg
+counterpart returns and keeps its error policy, except that a failure
+raises a typed error: SingularMatrix for a singular solve or inverse,
+NoConvergence for non-finite eigen input or a LAPACK non-convergence.
 """
 
 from __future__ import annotations
@@ -20,8 +29,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .errors import RankTestFailure, SingularMatrix
+from .errors import NoConvergence, RankTestFailure, SingularMatrix
 
 # Numerical policy knobs. Matrices in scope are small (k <= 64), so every
 # eigen-solve is dense. Perron vector entries below PERRON_ZERO_TOL times
@@ -68,6 +78,93 @@ class KirchhoffData(NamedTuple):
     scale: float
 
 
+# ------------------------------------------------------------------ kernels
+
+
+def _singular(err, flag):
+    raise SingularMatrix("Singular matrix")
+
+
+def _eig_failed(err, flag):
+    raise NoConvergence("Eigenvalues did not converge")
+
+
+def _svd_failed(err, flag):
+    raise NoConvergence("SVD did not converge")
+
+
+def _lapack_policy(fail):
+    """np.linalg's error policy: LAPACK's failure flag (invalid) calls fail."""
+    return np.errstate(call=fail, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
+
+
+def _require_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise NoConvergence("Array must not contain infs or NaNs")
+
+
+@_lapack_policy(_eig_failed)
+def eigvals(a: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvals: real exactly when no imaginary part is nonzero."""
+    _require_finite(a)
+    w = _umath_linalg.eigvals(a, signature="d->D")
+    return w if w.imag.any() else w.real
+
+
+@_lapack_policy(_eig_failed)
+def eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eig as (values, right vectors), real as eigvals is."""
+    _require_finite(a)
+    w, v = _umath_linalg.eig(a, signature="d->DD")
+    return (w, v) if w.imag.any() else (w.real, v.real)
+
+
+@_lapack_policy(_singular)
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve: a vector b is one right-hand side, a matrix b many."""
+    gufunc = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
+    return gufunc(a, b, signature="dd->d")
+
+
+@_lapack_policy(_singular)
+def inv(a: np.ndarray) -> np.ndarray:
+    """np.linalg.inv."""
+    return _umath_linalg.inv(a, signature="d->d")
+
+
+@_lapack_policy(_svd_failed)
+def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.linalg.svd with full matrices, as (U, s, Vt)."""
+    return _umath_linalg.svd_f(a, signature="d->ddd")
+
+
+@_lapack_policy(_svd_failed)
+def svdvals(a: np.ndarray) -> np.ndarray:
+    """Singular values alone, descending (np.linalg.svd, compute_uv=False)."""
+    return _umath_linalg.svd(a, signature="d->d")
+
+
+def det(a: np.ndarray) -> np.floating | np.ndarray:
+    """np.linalg.det (which sets no error policy either)."""
+    return _umath_linalg.det(a, signature="d->d")
+
+
+def cond(a: np.ndarray) -> np.ndarray:
+    """np.linalg.cond (2-norm) of a matrix or of each matrix of a stack.
+
+    sigma_1 / sigma_last from one values-only SVD of the whole stack; a
+    0/0 ratio (a zero matrix) reads inf, as in np.linalg.cond.
+    """
+    s = svdvals(a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = s[..., 0] / s[..., -1]
+    return np.where(np.isnan(r), np.inf, r)
+
+
+# --------------------------------------------------------- Perron machinery
+
+
 def is_metzler(M: np.ndarray) -> bool:
     """True when all off-diagonal entries of M are >= -METZLER_TOL."""
     M = np.asarray(M, dtype=float)
@@ -77,7 +174,7 @@ def is_metzler(M: np.ndarray) -> bool:
 
 def spectral_abscissa(M: np.ndarray) -> float:
     """Rightmost real part of the spectrum, by dense eigendecomposition."""
-    return float(np.max(np.linalg.eigvals(np.asarray(M, dtype=float)).real))
+    return float(eigvals(np.asarray(M, dtype=float)).real.max())
 
 
 def is_hurwitz(M: np.ndarray) -> bool:
@@ -144,9 +241,9 @@ def perron(M: np.ndarray) -> SpectralData:
     off = M - np.diag(np.diag(M))
     if np.min(off) < 0:
         raise ValueError("matrix has a negative off-diagonal entry; not Metzler")
-    vals, vecs = np.linalg.eig(M)
+    vals, vecs = eig(M)
     top = int(np.argmax(vals.real))
-    lvals, lvecs = np.linalg.eig(M.T)
+    lvals, lvecs = eig(M.T)
     w = vecs[:, top].real
     pi = lvecs[:, int(np.argmax(lvals.real))].real
     # Perron vectors are sign-constant; keep the nonnegative orientation.
@@ -185,12 +282,12 @@ def m_inverse(A: np.ndarray) -> np.ndarray:
     """
     A = np.asarray(A, dtype=float)
     k = A.shape[0]
-    det = float(np.linalg.det(A))
+    det_A = float(det(A))
     hadamard = float(np.prod(np.linalg.norm(A, axis=1))) if k else 1.0
-    if abs(det) <= DET_SINGULAR_TOL * max(hadamard, 1e-300):
-        raise SingularMatrix(f"matrix is singular to tolerance (det={det:.3e})")
+    if abs(det_A) <= DET_SINGULAR_TOL * max(hadamard, 1e-300):
+        raise SingularMatrix(f"matrix is singular to tolerance (det={det_A:.3e})")
     neg, eye = -A, np.eye(k)
-    out = np.linalg.solve(neg, eye)
+    out = solve(neg, eye)
     scale = max(1.0, float(abs(out).max()))
     low = float(out.min())
     if not low >= -MINV_SIGN_TOL * scale:
@@ -217,7 +314,7 @@ def adjugate(M: np.ndarray) -> np.ndarray:
             cols = idx[idx != j]
             minor = M[np.ix_(rows, cols)]
             # adj(M)[j, i] = (-1)^{i+j} det(M with row i, col j removed)
-            out[j, i] = ((-1.0) ** (i + j)) * np.linalg.det(minor)
+            out[j, i] = ((-1.0) ** (i + j)) * det(minor)
     return out
 
 
@@ -252,7 +349,7 @@ def kirchhoff_perron(J: np.ndarray) -> KirchhoffData:
     adj = adjugate(N)
 
     # Rank-one factor check via the dominant singular triplet.
-    U, s, Vt = np.linalg.svd(adj)
+    U, s, Vt = svd(adj)
     if s[0] == 0.0:
         raise RankTestFailure("adjugate vanished; eigenvalue is not simple")
     if k > 1 and s[1] > ADJ_RANK_TOL * s[0]:

@@ -94,6 +94,17 @@ CASES = {
                     "--grid"),
     "scan --grid count 0": (["scan", "sir.model", "--entry", "B[0,0]",
                              "--grid", "1:2:0"], 2, "--grid needs num >= 1"),
+    "scan --grid -inf bound": (["scan", "sir.model", "--entry", "A[0,0]",
+                                "--grid=-inf:-1:2"], 2, "--grid needs finite bounds"),
+    "scan --grid inf bound": (["scan", "sir.model", "--entry", "B[0,0]",
+                               "--grid", "0:inf:3"], 2, "--grid needs finite bounds"),
+    "scan --grid nan bound": (["scan", "sir.model", "--entry", "B[0,0]",
+                               "--grid", "nan:1:3"], 2, "--grid needs finite bounds"),
+    "scan --grid overflowing span": (["scan", "sir.model", "--entry", "B[0,0]",
+                                      "--grid=-1e308:1e308:3"], 2,
+                                     "--grid needs finite bounds"),
+    "lyapunov --seed -1": (["lyapunov", "sir.model", "--kind", "ee", "--seed", "-1"],
+                           2, "--seed"),
     # Failed validation (InvalidModel), missing files (OSError), input
     # formats (ParseError, NotBalancedBilinear).
     "simulate invalid model": (["simulate", "unstable.model", "--x0", "0.5,0.5"], 2,
@@ -116,6 +127,10 @@ CASES = {
                                       4, "diagonal"),
     "scan general rank": (["scan", "general.model", "--entry", "B[0,0]",
                            "--grid", "0.5:1.5:3"], 4, "shared routing"),
+    # An overflowing S0 fails its scan point, and R0 there too (typed kernels).
+    "scan overflowing point": (["scan", "sir.model", "--entry", "Lambda[0]",
+                                "--grid", "1:1e308:2"], 3,
+                               "amplitude law is degenerate"),
     # An overflowing field is an integration failure, not a NaN trajectory.
     "simulate overflow": (["simulate", "huge.model", "--x0", "0.5,0.5",
                            "--horizon", "1"], 3, "nan"),
@@ -130,6 +145,18 @@ def test_input_case_exit_code(inputs, capsys, case):
     assert got == code, err
     assert fragment in err
     assert "Traceback" not in err
+
+
+def test_scan_keeps_the_row_of_a_point_whose_R0_overflows(inputs, capsys):
+    with np.errstate(all="ignore"):
+        code, err = run(inputs, ["scan", "sir.model", "--entry", "Lambda[0]",
+                                 "--grid", "1:1e308:2"], capsys)
+    assert code == 3 and err.startswith("error: ") and "Traceback" not in err
+    lines = (inputs / "out" / "scan.csv").read_text().splitlines()
+    assert lines[0] == "param,R0,num_roots,backward,k1,saddle1,note"
+    assert lines[1].startswith("1.0,2.0,1,false,")
+    assert lines[2].startswith("1e+308,,,,,,\"NoConvergence: ")
+    assert len(lines) == 3
 
 
 def _error_classes(cls=AnalysisError):

@@ -33,6 +33,30 @@ def test_only_the_model_inverts_its_matrices():
     assert found and all(f.startswith("model.py:") for f in found), found
 
 
+LAPACK_CALLS = {"eigvals", "eig", "solve", "inv", "svd", "det", "cond"}
+
+
+def test_only_spectral_calls_lapack():
+    # spectral's kernels call numpy's LAPACK gufuncs directly, at a fraction
+    # of np.linalg's wrapper cost, and raise typed errors; a np.linalg call
+    # anywhere else pays the wrapper and raises a bare LinAlgError.
+    calls, imports = [], []
+    for path in sorted((SRC / "bbepi").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in LAPACK_CALLS \
+                    and "linalg" in ast.unparse(node.func.value).split("."):
+                calls.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    "linalg" in name for name in
+                    [getattr(node, "module", None) or ""]
+                    + [alias.name for alias in node.names]):
+                imports.append(f"{path.name}: {ast.unparse(node)}")
+    assert not [c for c in calls if not c.startswith("spectral.py:")], calls
+    assert imports == ["spectral.py: from numpy.linalg import _umath_linalg"], imports
+
+
 def test_m_inverse_sign_check_survives_optimized_mode():
     code = ("import numpy as np, bbepi as bb\n"
             "try:\n"
