@@ -21,7 +21,7 @@ deterministic CLI (`bbepi`) binding it all together.
 from .errors import (AnalysisError, BelowThreshold, DegenerateB,
                      DimensionMismatch, IdentityViolation, InvalidModel,
                      NegativeRate, NoConvergence, NonDiagonalAS,
-                     NonPositiveState, NotApplicable, NotBalancedBilinear,
+                     NonFiniteValue, NonPositiveState, NotApplicable, NotBalancedBilinear,
                      NotCaseP, NotEquilibrium, NotInvariantFace,
                      NotRankOne, NotRegularSplitting, ParseError,
                      PositivityViolation, RankTestFailure, SingularMatrix,
@@ -30,9 +30,8 @@ from .model import (AccessReport, BilinearModel, CheckResult, RankClass,
                     RankTag, StateVector, ValidationReport, classify_rank,
                     load_model, loads_model, validate_accessibility,
                     validate_model)
-from .spectral import (KirchhoffData, SpectralData, adjugate, is_hurwitz,
-                       is_irreducible, is_metzler, kirchhoff_perron,
-                       m_inverse, perron, spectral_abscissa)
+from .spectral import (KirchhoffData, SpectralData, adjugate, is_irreducible,
+                       kirchhoff_perron, m_inverse, perron, spectral_abscissa)
 from .ngm import (EigTable, NgmBundle, dwell_times, eig_table,
                   force_of_infection, loop_gain, loop_ngm, ngm_at,
                   replacement_vector)
@@ -43,7 +42,7 @@ from .equilibrium import (DeterminantLaw, EndemicPoint, EquilibriumReport,
 from .lyapunov import (LyapunovCertificate, SamplingConfig, ee_weights,
                        v_dfe, v_ee, v_transversal, verify_decrease)
 from .sim import (BatchTrajectory, IntegratorConfig, Trajectory,
-                  empirical_gas, integrate, integrate_batch,
+                  convergence_fraction, integrate, integrate_batch,
                   sample_initial_conditions)
 from .crn import (FaceBlocks, Reaction, ReactionNetwork, SiphonSet,
                   SpeciesSplit, dfe_closure, face_block_jacobian, is_siphon,

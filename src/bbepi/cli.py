@@ -41,7 +41,7 @@ from . import crn, ngm, sim, spectral
 from . import equilibrium as eq
 from . import lyapunov as lyap
 from .errors import (AnalysisError, BelowThreshold, InvalidModel,
-                     NotApplicable, NotRankOne, ParseError,
+                     NonFiniteValue, NotApplicable, NotRankOne, ParseError,
                      PositivityViolation, StepUnderflow, is_solver_failure)
 from .model import (BilinearModel, RankTag, classify_rank, load_model,
                     validate_accessibility, validate_model)
@@ -398,7 +398,7 @@ def cmd_siphons(args) -> int:
     for s in minimal:
         try:
             x_eq = _face_equilibrium(net, s.indices, args.horizon)
-        except (PositivityViolation, StepUnderflow) as exc:
+        except (PositivityViolation, NonFiniteValue, StepUnderflow) as exc:
             failures.append(
                 type(exc)(f"settling the face of {_names(s.indices)}: {exc}"))
             unfound(s, str(failures[-1]))
@@ -546,7 +546,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # An overflow ends a run by a typed error (NonFiniteValue, or the
+        # kernels' NoConvergence on non-finite input), not by numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (AnalysisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, AnalysisError) else EXIT_VALIDATION

@@ -23,13 +23,14 @@ checked for single-susceptible-class rank-one models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import ngm, spectral
-from .errors import (BelowThreshold, IdentityViolation, NoConvergence,
+from .errors import (BelowThreshold, IdentityViolation, NoConvergence, NonFiniteValue,
                      NotApplicable, NotCaseP, NotRankOne, SingularMatrix)
 from .model import BilinearModel, RankClass, RankTag, StateVector
 
@@ -37,9 +38,8 @@ THRESHOLD_BAND = 1e-9
 NORMALIZATION_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
 SPECTRAL_RADIUS_TOL = 1e-8
-MAX_DOUBLINGS = 60
 MAX_HALVINGS = 60
-EXTRA_DOUBLINGS = 4
+K_MAX_MARGIN = 2.0 ** 4
 SCAN_K_MIN = 1e-8
 ROOT_REL_TOL = 1e-6
 INFINITE_ROOT_TOL = 1e-12
@@ -137,7 +137,11 @@ class EquilibriumReport:
 
 @dataclass
 class ScalarLaw:
-    """A scalar amplitude law k -> H(k) with its roots and diagnostics."""
+    """A scalar amplitude law k -> H(k) with its roots and diagnostics.
+
+    k_max is a proven bound on every root, unless exhausted: k = infinity
+    solves the law, no finite bound exists, and k_max is K_MAX_MARGIN.
+    """
 
     kind: str
     R0: float
@@ -180,21 +184,31 @@ def _threshold_report(S0, R0, solver, note) -> EquilibriumReport:
     return rep
 
 
+def _pencil_ratios(pair: np.ndarray) -> list[float]:
+    """cond(L), cond(M) and sigma_1(M) / sigma_min(L) from one values-only
+    SVD of the stacked pair (L, M); x / 0 (0 / 0 too) and NaN read inf."""
+    L, M = spectral.svdvals(pair).tolist()
+    return [a / b if b > 0.0 else math.inf
+            for a, b in ((L[0], L[-1]), (M[0], M[-1]), (M[0], L[-1]))]
+
+
 def _amplitude_roots(A_S: np.ndarray, Lambda: np.ndarray, R: np.ndarray,
-                     a: np.ndarray, c: np.ndarray) -> tuple[list[float], bool]:
+                     a: np.ndarray, c: np.ndarray) -> tuple[list[float], bool, float]:
     """Positive roots of H(k) = R . (k Diag(a) - A_S)^{-1} (Lambda + k c) = 1.
 
     After classes with a_i = 0 (so R_i = 0) are eliminated by a Schur
-    complement of A_S, they are the eigenvalues of
-    k (Diag(a) - c R^T) x = (A_S + Lambda R^T) x (x scaled to R . x = 1),
-    multiplicities included (matrix determinant lemma). The left side is
-    singular when H(infinity) = 1 or some a_i is tiny, the right when
-    H(0) = R0 = 1; the side with the smaller condition number (both read
-    off one SVD of the stacked pair) is inverted, and mu = 1/k ~ 0 there
-    stands for k = infinity. Real positive roots within ROOT_REL_TOL of
-    each other (a split real or a conjugate pair) are one double root at
-    their mean. Returns the sorted roots and whether k = infinity was
-    dropped.
+    complement of A_S, they are the eigenvalues of k L x = M x with
+    L = Diag(a) - c R^T and M = A_S + Lambda R^T (x scaled to R . x = 1),
+    multiplicities included (matrix determinant lemma). L is singular when
+    H(infinity) = 1 or some a_i is tiny, M when H(0) = R0 = 1; the side with
+    the smaller condition number (both read off one SVD of the stacked pair)
+    is inverted, and mu = 1/k ~ 0 there stands for k = infinity. Real
+    positive roots within ROOT_REL_TOL of each other (a split real or a
+    conjugate pair) are one double root at their mean. Returns the sorted
+    roots, whether k = infinity was dropped, and the bound
+    K_MAX_MARGIN * max(1, sigma_1(M) / sigma_min(L)) on every finite root
+    (|k| sigma_min(L) <= |M x| <= sigma_1(M) for unit x), inf when k =
+    infinity solves the law (sigma_min(L) = 0).
     """
     K = a != 0.0
     J = ~K
@@ -208,11 +222,13 @@ def _amplitude_roots(A_S: np.ndarray, Lambda: np.ndarray, R: np.ndarray,
         R, a = R[K], a[K]
 
     pair = np.array([np.diag(a) - np.outer(c, R), A_S + np.outer(Lambda, R)])
+    if not np.isfinite(pair).all():
+        raise NonFiniteValue("amplitude law is not finite (overflow in its pencil)")
     lhs, rhs = pair
     try:
-        # cond is undefined on 0 x 0 matrices: with every class eliminated
-        # the law is H = 0 and both sides are empty.
-        cond_lhs, cond_rhs = spectral.cond(pair) if a.size else (0.0, 0.0)
+        # The SVD is undefined on 0 x 0 matrices: with every class
+        # eliminated the law is H = 0 and both sides are empty.
+        cond_lhs, cond_rhs, ratio = _pencil_ratios(pair) if a.size else (0.0, 0.0, 0.0)
         if cond_lhs <= cond_rhs:
             k, at_infinity = spectral.eigvals(spectral.solve(lhs, rhs)), False
         else:
@@ -229,7 +245,7 @@ def _amplitude_roots(A_S: np.ndarray, Lambda: np.ndarray, R: np.ndarray,
             roots[-1] = 0.5 * (roots[-1] + float(r))
         else:
             roots.append(float(r))
-    return roots, at_infinity
+    return roots, at_infinity, K_MAX_MARGIN * max(1.0, ratio)
 
 
 def endemic_rank_one(model: BilinearModel, rank: RankClass) -> EquilibriumReport:
@@ -256,7 +272,7 @@ def endemic_rank_one(model: BilinearModel, rank: RankClass) -> EquilibriumReport
     shared_routing = rank.alpha_n is not None
     a = R if shared_routing else rank.alpha_m
 
-    roots, _ = _amplitude_roots(model.A_S, model.Lambda, R, a, np.zeros(model.m))
+    roots, _, _ = _amplitude_roots(model.A_S, model.Lambda, R, a, np.zeros(model.m))
     if len(roots) != 1:
         raise NoConvergence(f"amplitude law with R0 = {R0:.12g} > 1 has roots "
                             f"{roots}, expected exactly one")
@@ -319,8 +335,8 @@ def endemic_spectral(model: BilinearModel) -> EquilibriumReport:
         raise NotApplicable("circulation matrix B(-A)^{-1}P is reducible")
 
     v, pi = sd.w_right, sd.pi_left
-    seeds, _ = _amplitude_roots(model.A_S, model.Lambda,
-                                v * (pi @ G) / float(pi @ v), v, np.zeros(model.m))
+    seeds, _, _ = _amplitude_roots(model.A_S, model.Lambda,
+                                   v * (pi @ G) / float(pi @ v), v, np.zeros(model.m))
     if len(seeds) != 1:
         raise NoConvergence(f"seed amplitude law with R0 = {R0:.12g} > 1 has "
                             f"roots {seeds}, expected exactly one")
@@ -435,8 +451,9 @@ def feedback_analysis(model: BilinearModel, rank: RankClass
     DOUBLE_ROOT_DERIV_TOL is flagged as a saddle-node. Multiple roots with
     R0 < 1 are the signature of a backward bifurcation. Roots whose point
     has a negative entry or a residual above RESIDUAL_TOL (relative) are
-    skipped with a note. A sufficient condition for uniqueness,
-    max(C D_w) < min(mu_S) / max(R), is evaluated and reported.
+    skipped with a note. k_max bounds every root (see ScalarLaw). A
+    sufficient condition for uniqueness, max(C D_w) < min(mu_S) / max(R),
+    is evaluated and reported.
     """
     if rank.alpha_n is None:
         raise NotCaseP("feedback analysis requires a shared routing column")
@@ -456,18 +473,8 @@ def feedback_analysis(model: BilinearModel, rank: RankClass
         inner = M @ (model.Lambda + k * CD)
         return float(R @ (-M @ (DR @ inner) + M @ CD))
 
-    # The reported range of the law: the first doubling where H_C < 1, with
-    # a margin of extra doublings because H_C may dip below one and return.
-    k_max = 1.0
-    doublings = 0
-    while H(k_max) >= 1.0 and doublings < MAX_DOUBLINGS:
-        k_max *= 2.0
-        doublings += 1
-    exhausted = doublings >= MAX_DOUBLINGS and H(k_max) >= 1.0
-    if not exhausted:
-        k_max *= 2.0 ** EXTRA_DOUBLINGS
-
-    roots, at_infinity = _amplitude_roots(model.A_S, model.Lambda, R, R, CD)
+    roots, at_infinity, k_max = _amplitude_roots(model.A_S, model.Lambda, R, R, CD)
+    exhausted = k_max == np.inf
     roots = [r for r in roots if r > SCAN_K_MIN]  # also drops k = 0 at R0 = 1
     derivs = [H_prime(r) for r in roots]
     flags = [abs(r * d) <= DOUBLE_ROOT_DERIV_TOL for r, d in zip(roots, derivs)]
@@ -477,14 +484,11 @@ def feedback_analysis(model: BilinearModel, rank: RankClass
 
     law = ScalarLaw(kind="feedback_amplitude", R0=R0, H=H, H_prime=H_prime,
                     roots=roots, deriv_at_roots=derivs,
-                    saddle_flags=flags, k_max=float(k_max),
+                    saddle_flags=flags, k_max=K_MAX_MARGIN if exhausted else k_max,
                     exhausted=exhausted, uniqueness_condition=unique_ok,
                     backward_bifurcation=bool(R0 < 1.0 and roots))
 
     rep = EquilibriumReport(S0=S0, R0=R0, solver="feedback")
-    if exhausted:
-        rep.notes.append("H_C stayed >= 1 out to k_max; the eigenvalue solve "
-                         "still finds roots beyond it")
     if at_infinity:
         rep.notes.append("H_C -> 1 as k -> infinity (no net removal from I, "
                          "as when 1^T C D_w = 1); finite roots only")

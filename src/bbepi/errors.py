@@ -118,8 +118,12 @@ class StepUnderflow(AnalysisError):
     """Adaptive integration drove the step size below its floor."""
 
 
+class NonFiniteValue(AnalysisError):
+    """A state or computed value overflowed to inf or NaN."""
+
+
 class ParseError(AnalysisError):
-    """A reaction or model file failed to parse.
+    """An input file or argument failed to parse or asks for too much work.
 
     Attributes
     ----------

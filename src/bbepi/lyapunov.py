@@ -318,7 +318,8 @@ def verify_decrease(model: BilinearModel, kind: str,
     true when the worst signed derivative among all samples stays within
     VIOLATION_TOL (scaled by the derivative's magnitude); the assembled and
     chain-rule derivatives are compared on every sample; the convergence
-    fraction counts endpoints within sim.CONV_REL_TOL of the attractor.
+    fraction counts endpoints within sim.CONV_REL_TOL of the attractor. A
+    plan over sim.MAX_SAMPLES states is refused before any start is drawn.
     """
     cfg = config or SamplingConfig()
     rank = classify_rank(model) if rank is None else rank
@@ -340,6 +341,7 @@ def verify_decrease(model: BilinearModel, kind: str,
     else:
         raise ValueError(f"unknown certificate kind: {kind!r}")
 
+    sim.fixed_steps(cfg.horizon, cfg.step, cfg.n_trajectories)  # before any allocation
     rng = np.random.default_rng(cfg.seed)
     X0 = sim.sample_initial_conditions(rng, cfg.n_trajectories, target)
     batch = sim.integrate_batch(model.rhs, X0, cfg.horizon,

@@ -25,9 +25,9 @@ import numpy as np
 
 from . import spectral
 from .errors import DegenerateB, DimensionMismatch, ParseError
-from .spectral import HURWITZ_TOL
 
 COLSUM_TOL = 1e-9
+HURWITZ_TOL = 1e-9
 RANK_TOL = 1e-8
 
 

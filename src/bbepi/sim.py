@@ -8,10 +8,12 @@ Cash-Karp 5(4) pair is available when adaptive stepping is wanted. Both
 loops evaluate the field once per accepted state, for the next step's first
 stage and the settle test alike. States are clamped to the nonnegative
 orthant: excursions within CLAMP_TOL are zeroed; a worse one shrinks the
-adaptive step and aborts a fixed-step run. The adaptive error tolerances
-are REL_TOL and ABS_TOL. Sampled starts use the IC_LOW, IC_HIGH and
-IC_FLOOR constants, and an endpoint counts as converged within CONV_REL_TOL
-of its target.
+adaptive step and aborts a fixed-step run; an overflow (inf or NaN) ends
+it with NonFiniteValue. A run that would keep more than MAX_SAMPLES states
+is refused with ParseError before anything is allocated. The adaptive
+error tolerances are REL_TOL and ABS_TOL. Sampled starts use the IC_LOW,
+IC_HIGH and IC_FLOOR constants, and an endpoint counts as converged within
+CONV_REL_TOL of its target.
 """
 
 from __future__ import annotations
@@ -21,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PositivityViolation, StepUnderflow
+from .errors import NonFiniteValue, ParseError, PositivityViolation, StepUnderflow
 
 DEFAULT_STEP = 0.01
-DEFAULT_HORIZON = 100.0
 CLAMP_TOL = 1e-12
 REL_TOL = 1e-8
 ABS_TOL = 1e-10
@@ -33,6 +34,7 @@ IC_LOW = 1e-3
 IC_HIGH = 10.0
 IC_FLOOR = 1e-3
 CONV_REL_TOL = 1e-3
+MAX_SAMPLES = 10_000_000  # 25 x the largest default run, lyapunov's 20 x 20,001
 
 
 @dataclass(frozen=True)
@@ -89,15 +91,32 @@ def _beyond_clamp(x: np.ndarray, worst: float) -> bool:
     return not worst >= -CLAMP_TOL * max(1.0, float(np.max(np.abs(x))))
 
 
+def _require_finite(x: np.ndarray, what: str = "state") -> np.ndarray:
+    if not np.isfinite(x).all():
+        raise NonFiniteValue(f"{what} is not finite (overflow)")
+    return x
+
+
 def _clamp(x: np.ndarray) -> np.ndarray:
     worst = float(np.min(x)) if x.size else 0.0
     if worst >= 0.0:
         return x
+    _require_finite(x)
     if _beyond_clamp(x, worst):
         raise PositivityViolation(
             f"state left the nonnegative orthant by {-worst:.3e}"
         )
     return np.maximum(x, 0.0)
+
+
+def fixed_steps(horizon: float, step: float, n_starts: int = 1) -> int:
+    """Steps of a fixed-step run; ParseError if (steps + 1) * n_starts > MAX_SAMPLES."""
+    ratio = horizon / step
+    n_steps = max(1, int(round(ratio))) if ratio <= MAX_SAMPLES else MAX_SAMPLES
+    if (n_steps + 1) * n_starts > MAX_SAMPLES:
+        raise ParseError(f"horizon / step = {ratio:.6g} steps from {n_starts} start(s) "
+                         f"would keep more than MAX_SAMPLES = {MAX_SAMPLES:,} states")
+    return n_steps
 
 
 def _rk4_step(rhs, x, h, k1):
@@ -144,8 +163,12 @@ def integrate(rhs, x0, horizon: float,
     ------
     PositivityViolation
         If a fixed step leaves the orthant beyond the clamp tolerance.
+    NonFiniteValue
+        If the state or the field overflows.
     StepUnderflow
         If adaptive stepping cannot meet tolerance above the step floor.
+    ParseError
+        If the run would keep more than MAX_SAMPLES states.
     """
     cfg = config or IntegratorConfig()
     x = np.array(x0, dtype=float).ravel()
@@ -161,7 +184,7 @@ def _integrate_adaptive(rhs, x, horizon, cfg) -> Trajectory:
     states = [x.copy()]
     early = False
     reason = None
-    k1 = rhs(x)
+    k1 = _require_finite(rhs(x), "vector field")
     while t < horizon - 1e-15:
         h = min(h, horizon - t)
         x_new, err = _ck_step(rhs, x, h, k1)
@@ -170,11 +193,13 @@ def _integrate_adaptive(rhs, x, horizon, cfg) -> Trajectory:
         if x_new.size and _beyond_clamp(x_new, float(np.min(x_new))):
             ratio = max(ratio, 2.0)  # too long a step, whatever its error estimate
         if ratio <= 1.0:
+            if len(times) >= MAX_SAMPLES:
+                raise ParseError(f"adaptive run hit MAX_SAMPLES = {MAX_SAMPLES:,} states")
             x = _clamp(x_new)
             t += h
             times.append(t)
             states.append(x.copy())
-            k1 = rhs(x)
+            k1 = _require_finite(rhs(x), "vector field")
             if cfg.settle_tol is not None and float(np.max(np.abs(k1))) <= \
                     cfg.settle_tol * (1.0 + float(np.max(np.abs(x)))):
                 early = True
@@ -194,13 +219,13 @@ def integrate_batch(rhs, X0, horizon: float,
     """Fixed-step RK4 on a stack of initial conditions (N, d), shared clock.
 
     rhs must accept (..., d) arrays. With settle_tol set, the run stops once
-    every member of the batch has settled.
+    every member of the batch has settled. Raises as integrate does.
     """
     cfg = config or IntegratorConfig()
     X = np.array(X0, dtype=float)
     if X.ndim != 2:
         raise ValueError("X0 must have shape (N, d)")
-    n_steps = max(1, int(round(horizon / cfg.step)))
+    n_steps = fixed_steps(horizon, cfg.step, X.shape[0])
     step, tol = cfg.step, cfg.settle_tol
     # Every state is a fresh array (the RK4 update or the clamp makes it),
     # so the list holds them without copies.
@@ -223,6 +248,7 @@ def integrate_batch(rhs, X0, horizon: float,
                 early = True
                 reason = "settled"
                 break
+    _require_finite(X)  # NaN fails the clamp test; inf stays inf or turns NaN
     return BatchTrajectory(times=np.arange(len(states)) * step, states=np.array(states),
                            terminated_early=early, reason=reason)
 
@@ -246,17 +272,3 @@ def convergence_fraction(final: np.ndarray, target: np.ndarray) -> float:
     target in the sup-norm."""
     dist = np.max(np.abs(final - target[None, :]), axis=-1)
     return float(np.mean(dist <= CONV_REL_TOL * max(1.0, float(np.max(np.abs(target))))))
-
-
-def empirical_gas(rhs, target: np.ndarray, n_starts: int = 20,
-                  horizon: float = DEFAULT_HORIZON, seed: int = 0) -> float:
-    """Fraction of random positive starts that reach `target` by the horizon.
-
-    Starts are drawn by sample_initial_conditions around the target and
-    scored by convergence_fraction.
-    """
-    target = np.asarray(target, dtype=float).ravel()
-    rng = np.random.default_rng(seed)
-    X0 = sample_initial_conditions(rng, n_starts, target)
-    batch = integrate_batch(rhs, X0, horizon, IntegratorConfig(settle_tol=1e-10))
-    return convergence_fraction(batch.states[-1], target)

@@ -15,7 +15,7 @@ also computes eigenvectors, so the number equals perron(M).rho bit for bit
 (the tests check this on next-generation matrices).
 
 This module is the package's one owner of dense linear algebra. The
-kernels eigvals, eig, solve, inv, svd, svdvals, det and cond call numpy's
+kernels eigvals, eig, solve, inv, svd, svdvals and det call numpy's
 float64 LAPACK gufuncs (numpy.linalg._umath_linalg, numpy >= 2) directly:
 on the package's small matrices the np.linalg wrappers cost several times
 the LAPACK call itself. Each kernel returns the bits its np.linalg
@@ -40,8 +40,6 @@ PERRON_ZERO_TOL = 1e-11
 MINV_RESIDUAL_TOL = 1e-10
 MINV_SIGN_TOL = 1e-12
 DET_SINGULAR_TOL = 1e-12
-METZLER_TOL = 0.0
-HURWITZ_TOL = 1e-9
 ADJ_RANK_TOL = 1e-7
 COFACTOR_REL_TOL = 1e-7
 
@@ -150,36 +148,12 @@ def det(a: np.ndarray) -> np.floating | np.ndarray:
     return _umath_linalg.det(a, signature="d->d")
 
 
-def cond(a: np.ndarray) -> np.ndarray:
-    """np.linalg.cond (2-norm) of a matrix or of each matrix of a stack.
-
-    sigma_1 / sigma_last from one values-only SVD of the whole stack; a
-    0/0 ratio (a zero matrix) reads inf, as in np.linalg.cond.
-    """
-    s = svdvals(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = s[..., 0] / s[..., -1]
-    return np.where(np.isnan(r), np.inf, r)
-
-
 # --------------------------------------------------------- Perron machinery
-
-
-def is_metzler(M: np.ndarray) -> bool:
-    """True when all off-diagonal entries of M are >= -METZLER_TOL."""
-    M = np.asarray(M, dtype=float)
-    off = M - np.diag(np.diag(M))
-    return bool(np.min(off) >= -METZLER_TOL)
 
 
 def spectral_abscissa(M: np.ndarray) -> float:
     """Rightmost real part of the spectrum, by dense eigendecomposition."""
     return float(eigvals(np.asarray(M, dtype=float)).real.max())
-
-
-def is_hurwitz(M: np.ndarray) -> bool:
-    """True when the spectral abscissa is below -HURWITZ_TOL."""
-    return spectral_abscissa(M) < -HURWITZ_TOL
 
 
 def is_irreducible(M: np.ndarray) -> bool:

@@ -153,7 +153,7 @@ def test_spectral_solver_names_newton_cap(monkeypatch):
 def test_spectral_solver_names_a_seed_law_without_one_root(monkeypatch):
     model = with_r0(random_model(rng0(40), 3, 3, "general"), 3.0)
     assert bb.endemic_spectral(model).endemic_points
-    monkeypatch.setattr(eq, "_amplitude_roots", lambda *args: ([0.5, 2.0], False))
+    monkeypatch.setattr(eq, "_amplitude_roots", lambda *args: ([0.5, 2.0], False, 16.0))
     with pytest.raises(bb.NoConvergence,
                        match=r"has roots \[0\.5, 2\.0\], expected exactly one"):
         bb.endemic_spectral(model)
@@ -408,7 +408,7 @@ def test_feedback_skips_root_whose_point_misses_the_field(monkeypatch):
     rank = bb.classify_rank(model)
     law, _ = bb.feedback_analysis(model, rank)
     fake = law.roots[0] * 1.1
-    monkeypatch.setattr(eq, "_amplitude_roots", lambda *args: ([fake], False))
+    monkeypatch.setattr(eq, "_amplitude_roots", lambda *args: ([fake], False, 16.0))
     law, rep = bb.feedback_analysis(model, rank)
     assert law.roots == [fake]
     assert not rep.endemic_points
@@ -424,8 +424,9 @@ def test_feedback_sirs_network_matches_dense_scan(beta):
     rank = bb.classify_rank(model)
     assert bb.replacement_vector(model, rank)[1] == 0.0
     law, rep = bb.feedback_analysis(model, rank)
-    # Roots may lie beyond k_max, the law's reported range, so the scan
-    # reaches six decades further.
+    assert all(r <= law.k_max for r in law.roots)
+    # The scan reaches six decades beyond k_max, so it does not lean on the
+    # bound it checks.
     oracle = oracle_feedback_roots(model, 1e6 * law.k_max)
     assert law.roots == pytest.approx(oracle, rel=1e-9)
     assert len(rep.endemic_points) == len(oracle)
@@ -469,7 +470,8 @@ def test_rank_one_tiny_infectivity_entry(b):
 
 
 @settings(max_examples=60, deadline=None)
-# Roots 7.69 and 22.26 with k_max = 16: the second lies beyond the ceiling.
+# Roots 7.69 and 22.26 with H_C(1) < 1: a range read off H_C alone, by doubling
+# k from 1 until H_C < 1, would end at once; k_max must lie above both.
 @example(seed=0, m=2, n=1, r0=0.5, strength=0.9375, contrast=1.0,
          silent_class=False)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4), n=st.integers(1, 3),
@@ -499,9 +501,10 @@ def test_feedback_roots_match_dense_sign_scan(seed, m, n, r0, strength,
     law, rep = bb.feedback_analysis(model, bb.classify_rank(model))
     # The sign scan cannot resolve roots closer than its grid spacing, so
     # near-tangent laws are left to the tangency test above.
+    assert all(r <= law.k_max for r in law.roots)
     assume(all(abs(k * d) > 1e-3 for k, d in zip(law.roots, law.deriv_at_roots)))
-    # Roots may lie beyond k_max, the law's reported range, so the scan
-    # reaches six decades further.
+    # The scan reaches six decades beyond k_max, so it does not lean on the
+    # bound it checks.
     oracle = oracle_feedback_roots(model, 1e6 * law.k_max)
     assert law.roots == pytest.approx(oracle, rel=1e-9)
     assert len(rep.endemic_points) == len(oracle)

@@ -3,6 +3,7 @@ class's exit code, never in a traceback or a silent success."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ FILES = {
     "inf.model": SIR_JSON.replace("[[2.0]]", "[[Infinity]]"),
     "neginf.model": SIR_JSON.replace("[1.0]}", "[-Infinity]}"),
     "huge.model": SIR_JSON.replace("[[2.0]]", "[[1e300]]"),
+    "hugeinflow.model": SIR_JSON.replace("[1.0]}", "[1e308]}"),
     "sirs.rxn": SIRS_RXN,
     "bad.rxn": "s + i : 2.0\n",
     "quadratic.rxn": "-> s : 1.0\ns -> : 1.0\ns + i -> 2 i : 2.0\n2 i -> i : 1.0\n",
@@ -70,6 +72,21 @@ CASES = {
                              "--settle", "0"], 2, "--settle"),
     "siphons --horizon inf": (["siphons", "sirs.rxn", "--horizon", "inf"], 2,
                               "--horizon"),
+    # Runs that would keep more than sim.MAX_SAMPLES states fail before
+    # anything is allocated (ParseError).
+    "simulate --horizon 1e300": (["simulate", "sir.model", "--x0", "1,1",
+                                  "--horizon", "1e300"], 2, "MAX_SAMPLES"),
+    "simulate --horizon 1e6": (["simulate", "sir.model", "--x0", "1,1",
+                                "--horizon", "1e6"], 2, "1e+08 steps"),
+    "simulate --step 1e-300": (["simulate", "sir.model", "--x0", "1,1",
+                                "--step", "1e-300"], 2, "MAX_SAMPLES"),
+    "lyapunov --trajectories 1e10": (["lyapunov", "sir.model", "--kind", "ee",
+                                      "--trajectories", "10000000000"], 2,
+                                     "from 10000000000 start(s)"),
+    "lyapunov --horizon 1e300": (["lyapunov", "sir.model", "--kind", "dfe",
+                                  "--horizon", "1e300"], 2, "MAX_SAMPLES"),
+    "siphons --horizon 1e300": (["siphons", "sirs.rxn", "--horizon", "1e300"], 2,
+                                "MAX_SAMPLES"),
     # Non-finite model entries are parse errors (ParseError).
     "analyze NaN": (["analyze", "nan.model"], 2, "non-finite entries"),
     "lyapunov Infinity": (["lyapunov", "inf.model", "--kind", "dfe"], 2, "non-finite"),
@@ -127,13 +144,13 @@ CASES = {
                                       4, "diagonal"),
     "scan general rank": (["scan", "general.model", "--entry", "B[0,0]",
                            "--grid", "0.5:1.5:3"], 4, "shared routing"),
-    # An overflowing S0 fails its scan point, and R0 there too (typed kernels).
+    # An overflowing R0 fails its scan point with a typed error, not warnings.
     "scan overflowing point": (["scan", "sir.model", "--entry", "Lambda[0]",
                                 "--grid", "1:1e308:2"], 3,
-                               "amplitude law is degenerate"),
+                               "amplitude law is not finite"),
     # An overflowing field is an integration failure, not a NaN trajectory.
     "simulate overflow": (["simulate", "huge.model", "--x0", "0.5,0.5",
-                           "--horizon", "1"], 3, "nan"),
+                           "--horizon", "1"], 3, "state is not finite"),
 }
 
 
@@ -155,8 +172,33 @@ def test_scan_keeps_the_row_of_a_point_whose_R0_overflows(inputs, capsys):
     lines = (inputs / "out" / "scan.csv").read_text().splitlines()
     assert lines[0] == "param,R0,num_roots,backward,k1,saddle1,note"
     assert lines[1].startswith("1.0,2.0,1,false,")
-    assert lines[2].startswith("1e+308,,,,,,\"NoConvergence: ")
+    assert lines[2].startswith("1e+308,,,,,,\"NonFiniteValue: ")
     assert len(lines) == 3
+
+
+OVERFLOWS = {  # argv, the one line stderr holds
+    "analyze": (["analyze", "hugeinflow.model"],
+                "error: amplitude law is not finite (overflow in its pencil)\n"),
+    "lyapunov": (["lyapunov", "hugeinflow.model", "--kind", "dfe"],
+                 "error: state is not finite (overflow)\n"),
+    "simulate": (["simulate", "sir.model", "--x0", "1e308,1e308", "--horizon", "1"],
+                 "error: state is not finite (overflow)\n"),
+    "simulate --adaptive": (["simulate", "sir.model", "--x0", "1e308,1e308",
+                             "--horizon", "1", "--adaptive"],
+                            "error: vector field is not finite (overflow)\n"),
+    "scan": (["scan", "sir.model", "--entry", "Lambda[0]", "--grid", "1:1e308:2"],
+             "error: amplitude law is not finite (overflow in its pencil)\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOWS))
+def test_overflow_leaves_one_error_line_on_stderr(inputs, capsys, case):
+    argv, message = OVERFLOWS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would escape main
+        code, err = run(inputs, argv, capsys)
+    assert code == 3
+    assert err == message
 
 
 def _error_classes(cls=AnalysisError):

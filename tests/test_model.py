@@ -72,6 +72,20 @@ def test_validation_flags_non_hurwitz():
                for c in report.checks)
 
 
+def test_validation_flags_non_metzler():
+    # validate_model's Metzler and Hurwitz checks, each way.
+    def status(A_S, check):
+        model = bb.BilinearModel(A=[[-1.0]], A_S=A_S, B=[[1.0], [1.0]],
+                                 P=[[1.0, 1.0]], Lambda=[1.0, 1.0])
+        (c,) = [c for c in bb.validate_model(model).checks if c.name == check]
+        return c.status
+
+    assert status([[-1.0, 0.5], [0.0, -2.0]], "A_S.metzler") == "pass"
+    assert status([[-1.0, -0.5], [0.0, -2.0]], "A_S.metzler") == "fail"
+    assert status([[-1.0, 0.5], [0.0, -2.0]], "A_S.hurwitz") == "pass"
+    assert status([[1.0, 0.0], [0.0, -2.0]], "A_S.hurwitz") == "fail"
+
+
 def test_validation_marginal_band():
     model = bb.BilinearModel(A=[[-1e-12]], A_S=[[-1.0]], B=[[1.0]],
                              P=[[1.0]], Lambda=[1.0])

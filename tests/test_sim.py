@@ -87,8 +87,8 @@ def test_overflowing_field_is_an_integration_failure():
     # Transmission this strong overflows the first RK4 stages to inf - inf.
     huge = bb.BilinearModel(A=[[-1.0]], A_S=[[-1.0]], B=[[1e300]], P=[[1.0]],
                             Lambda=[1.0])
-    with np.errstate(all="ignore"), pytest.raises(bb.PositivityViolation,
-                                                  match="nan"):
+    with np.errstate(all="ignore"), pytest.raises(bb.NonFiniteValue,
+                                                  match="state is not finite"):
         bb.integrate(huge.rhs, np.array([0.5, 0.5]), 1.0,
                      bb.IntegratorConfig(step=0.1))
 
@@ -156,16 +156,18 @@ def test_sample_initial_conditions_ranges():
 
 
 def test_empirical_gas_sir_both_regimes(sir):
-    rng_model = with_r0(sir, 0.5)
-    frac_dfe = bb.empirical_gas(rng_model.rhs, np.array([1.0, 0.0]),
-                                n_starts=10, horizon=400.0, seed=3)
-    assert frac_dfe == 1.0
-    frac_ee = bb.empirical_gas(sir.rhs, np.array([0.5, 0.5]),
-                               n_starts=10, horizon=400.0, seed=4)
-    assert frac_ee == 1.0
+    # Every seeded start around the attractor reaches it: the DFE below
+    # threshold, the endemic point above.
+    for model, target, seed in ((with_r0(sir, 0.5), [1.0, 0.0], 3),
+                                (sir, [0.5, 0.5], 4)):
+        target = np.array(target)
+        X0 = sample_initial_conditions(rng0(seed), 10, target)
+        batch = bb.integrate_batch(model.rhs, X0, 400.0,
+                                   bb.IntegratorConfig(settle_tol=1e-10))
+        assert bb.convergence_fraction(batch.states[-1], target) == 1.0
 
 
-def test_empirical_gas_invariant_face_never_converges(sir):
+def test_invariant_face_starts_never_reach_the_endemic_point(sir):
     # Starts on the infection-free face stay there; the endemic target is
     # unreachable and the converged fraction is zero.
     rng = rng0(71)
@@ -215,7 +217,7 @@ def test_settle_shortcut_stops_where_the_per_row_test_does(seed):
 
 def test_batch_positivity_violations_still_raise():
     # A NaN state and a step leaving the orthant both abort, with or
-    # without the settle test.
+    # without the settle test; only the second is a positivity violation.
     def nan_field(X):
         return np.where(X < 0.5, np.nan, -X)
 
@@ -225,7 +227,30 @@ def test_batch_positivity_violations_still_raise():
     X0 = np.array([[1.0, 1.0], [0.55, 1.0]])
     for tol in (None, 1e-10):
         cfg = bb.IntegratorConfig(step=0.1, settle_tol=tol)
-        with pytest.raises(bb.PositivityViolation, match="nan"):
+        with pytest.raises(bb.NonFiniteValue, match="state is not finite"):
             bb.integrate_batch(nan_field, X0, 5.0, cfg)
         with pytest.raises(bb.PositivityViolation, match="left the nonnegative orthant"):
             bb.integrate_batch(leaving, X0, 5.0, cfg)
+
+
+def test_fixed_step_count_is_checked_against_the_sample_limit(monkeypatch):
+    assert sim.fixed_steps(1.0, 0.01) == 100
+    monkeypatch.setattr(sim, "MAX_SAMPLES", 202)
+    assert sim.fixed_steps(1.0, 0.01, n_starts=2) == 100  # 101 x 2 states
+    with pytest.raises(bb.ParseError, match="MAX_SAMPLES = 202"):
+        sim.fixed_steps(1.0, 0.01, n_starts=3)
+
+
+def test_adaptive_run_stops_at_the_sample_limit(monkeypatch):
+    monkeypatch.setattr(sim, "MAX_SAMPLES", 5)
+    cfg = bb.IntegratorConfig(adaptive=True)
+    with pytest.raises(bb.ParseError, match="hit MAX_SAMPLES = 5"):
+        bb.integrate(lambda x: np.cos(x), np.array([0.0]), 100.0, cfg)
+    assert bb.integrate(lambda x: -x, np.array([1.0]), 1e-3, cfg).times.size <= 5
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_overflow_is_a_non_finite_state_not_an_orthant_exit(adaptive):
+    with np.errstate(all="ignore"), pytest.raises(bb.NonFiniteValue, match="not finite"):
+        bb.integrate(lambda x: x * x, np.array([1e200]), 1.0,
+                     bb.IntegratorConfig(adaptive=adaptive))

@@ -16,13 +16,6 @@ def random_irreducible_nonneg(rng, k):
     return M
 
 
-def test_metzler_and_hurwitz_predicates():
-    assert bb.is_metzler(np.array([[-1.0, 0.5], [0.0, -2.0]]))
-    assert not bb.is_metzler(np.array([[-1.0, -0.5], [0.0, -2.0]]))
-    assert bb.is_hurwitz(np.array([[-1.0, 0.5], [0.0, -2.0]]))
-    assert not bb.is_hurwitz(np.array([[1.0]]))
-
-
 def test_spectral_abscissa_matches_dense_eigen():
     rng = rng0(10)
     for _ in range(20):
