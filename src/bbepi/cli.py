@@ -41,8 +41,9 @@ from . import crn, ngm, sim, spectral
 from . import equilibrium as eq
 from . import lyapunov as lyap
 from .errors import (AnalysisError, BelowThreshold, InvalidModel,
-                     NonFiniteValue, NotApplicable, NotRankOne, ParseError,
-                     PositivityViolation, StepUnderflow, is_solver_failure)
+                     NonFiniteValue, NotApplicable, NotEquilibrium, NotRankOne,
+                     ParseError, PositivityViolation, StepUnderflow,
+                     is_solver_failure)
 from .model import (BilinearModel, RankTag, classify_rank, load_model,
                     validate_accessibility, validate_model)
 
@@ -110,24 +111,19 @@ def _require_valid(validation, where: str = "validation failed") -> None:
 def _solve_endemic(model: BilinearModel, rank) -> tuple:
     """Run the applicable endemic solver. Returns (law_or_None, report)."""
     if np.any(model.C != 0.0):
-        if rank.alpha_n is None:
-            S0 = eq.dfe(model)
-            report = eq.EquilibriumReport(
-                S0=S0, R0=eq.reproduction_number(model),
-                solver="none",
-                notes=["recovery feedback present but routing is not shared "
-                       "across classes; no endemic solver applies"])
-            return None, report
-        return eq.feedback_analysis(model, rank)
-    if rank.tag is not RankTag.GENERAL:
+        if rank.alpha_n is not None:
+            return eq.feedback_analysis(model, rank)
+        note = ("recovery feedback present but routing is not shared "
+                "across classes; no endemic solver applies")
+    elif rank.tag is not RankTag.GENERAL:
         return None, eq.endemic_rank_one(model, rank)
-    try:
-        return None, eq.endemic_spectral(model)
-    except NotApplicable as exc:
-        report = eq.EquilibriumReport(
-            S0=eq.dfe(model), R0=eq.reproduction_number(model),
-            solver="none", notes=[f"spectral solver not applicable: {exc}"])
-        return None, report
+    else:
+        try:
+            return None, eq.endemic_spectral(model)
+        except NotApplicable as exc:
+            note = f"spectral solver not applicable: {exc}"
+    return None, eq.EquilibriumReport(S0=eq.dfe(model), R0=eq.reproduction_number(model),
+                                      solver="none", notes=[note])
 
 
 def cmd_analyze(args) -> int:
@@ -344,20 +340,6 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _face_equilibrium(net: crn.ReactionNetwork, sigma, horizon: float):
-    """Best-effort equilibrium on the face {x_sigma = 0} by settling the flow."""
-    x0 = np.ones(net.n_species)
-    x0[list(sigma)] = 0.0
-    cfg = sim.IntegratorConfig(settle_tol=1e-13)
-    traj = sim.integrate(net.rhs, x0, horizon, cfg)
-    x_eq = traj.states[-1].copy()
-    x_eq[list(sigma)] = 0.0
-    res = float(np.max(np.abs(net.rhs(x_eq)))) if net.n_species else 0.0
-    if res > crn.FACE_EQ_TOL * (1.0 + float(np.max(np.abs(x_eq)))):
-        return None
-    return x_eq
-
-
 def cmd_siphons(args) -> int:
     out_dir = Path(args.out)
     net = crn.load_reactions(args.input)
@@ -392,22 +374,28 @@ def cmd_siphons(args) -> int:
         entry = {"siphon": list(s.species), "found": False}
         doc["face_blocks"].append(entry if error is None else {**entry, "error": error})
 
+    # Each face is settled from ones off the face; face_block_jacobian
+    # decides whether the flow settled to an equilibrium (NotEquilibrium).
     # A face whose settling fails keeps its entry, with the error; the run
     # still fails, after the write, with the first such error.
+    settle = sim.IntegratorConfig(settle_tol=1e-13)
     failures = []
     for s in minimal:
+        x0 = np.ones(net.n_species)
+        x0[list(s.indices)] = 0.0
         try:
-            x_eq = _face_equilibrium(net, s.indices, args.horizon)
+            x_eq = sim.integrate(net.rhs, x0, args.horizon, settle).states[-1].copy()
         except (PositivityViolation, NonFiniteValue, StepUnderflow) as exc:
             failures.append(
                 type(exc)(f"settling the face of {_names(s.indices)}: {exc}"))
             unfound(s, str(failures[-1]))
             continue
-        if x_eq is None:
-            unfound(s)
-            continue
+        x_eq[list(s.indices)] = 0.0
         try:
             blocks = crn.face_block_jacobian(net, s.indices, x_eq)
+        except NotEquilibrium:
+            unfound(s)
+            continue
         except AnalysisError as exc:
             unfound(s, str(exc))
             continue

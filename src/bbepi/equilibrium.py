@@ -40,7 +40,6 @@ RESIDUAL_TOL = 1e-8
 SPECTRAL_RADIUS_TOL = 1e-8
 MAX_HALVINGS = 60
 K_MAX_MARGIN = 2.0 ** 4
-SCAN_K_MIN = 1e-8
 ROOT_REL_TOL = 1e-6
 INFINITE_ROOT_TOL = 1e-12
 DOUBLE_ROOT_DERIV_TOL = 1e-6
@@ -87,6 +86,15 @@ def residual_inf(model: BilinearModel, S: np.ndarray, I: np.ndarray) -> float:
     """Sup-norm of the vector field at (S, I)."""
     x = np.concatenate([np.asarray(S, float).ravel(), np.asarray(I, float).ravel()])
     return float(abs(model.rhs(x)).max())
+
+
+def _endemic_residual(model: BilinearModel, S_bar: np.ndarray,
+                      I_bar: np.ndarray) -> tuple[float, bool]:
+    """The residual at an endemic point, and whether it is within RESIDUAL_TOL
+    relative to 1 + the point's largest entry (a NaN residual is not)."""
+    res = residual_inf(model, S_bar, I_bar)
+    scale = 1.0 + float(abs(np.concatenate([S_bar, I_bar])).max())
+    return res, res <= RESIDUAL_TOL * scale
 
 
 @dataclass(frozen=True)
@@ -174,13 +182,13 @@ def _require_no_feedback(model: BilinearModel, what: str):
         raise NotApplicable(f"{what} requires C = 0; use feedback_analysis instead")
 
 
-def _threshold_report(S0, R0, solver, note) -> EquilibriumReport:
+def _threshold_report(S0, R0, solver) -> EquilibriumReport:
     rep = EquilibriumReport(S0=S0, R0=R0, solver=solver)
     if abs(R0 - 1.0) <= THRESHOLD_BAND:
         rep.threshold = True
         rep.notes.append("R0 within the threshold band of 1; no endemic point reported")
     else:
-        rep.notes.append(note)
+        rep.notes.append("R0 <= 1: no positive endemic equilibrium")
     return rep
 
 
@@ -256,21 +264,19 @@ def endemic_rank_one(model: BilinearModel, rank: RankClass) -> EquilibriumReport
     from H(0) = R0 to 0, so for R0 > 1 there is exactly one root, taken from
     the eigenvalue solve of _amplitude_roots (NoConvergence if it does not
     return exactly one). The equilibrium is reconstructed from k in closed
-    form and its full vector-field residual is verified. Below threshold the
-    report carries no endemic point.
+    form, I = k D_w (ngm.dwell_times), and its full vector-field residual is
+    verified. Below threshold the report carries no endemic point.
     """
     _require_no_feedback(model, "endemic_rank_one")
     if rank.tag is RankTag.GENERAL:
         raise NotRankOne("endemic_rank_one requires rank-one transmission structure")
-    S0, Ainv = model.S0, model.Ainv
+    S0 = model.S0
     R = ngm.replacement_vector(model, rank)
     R0 = float(S0 @ R)
     if R0 <= 1.0 or abs(R0 - 1.0) <= THRESHOLD_BAND:
-        return _threshold_report(S0, R0, "rank_one",
-                                 "R0 <= 1: no positive endemic equilibrium")
+        return _threshold_report(S0, R0, "rank_one")
 
-    shared_routing = rank.alpha_n is not None
-    a = R if shared_routing else rank.alpha_m
+    a = R if rank.alpha_n is not None else rank.alpha_m
 
     roots, _, _ = _amplitude_roots(model.A_S, model.Lambda, R, a, np.zeros(model.m))
     if len(roots) != 1:
@@ -279,18 +285,14 @@ def endemic_rank_one(model: BilinearModel, rank: RankClass) -> EquilibriumReport
     (k_star,) = roots
 
     S_bar = spectral.solve(k_star * np.diag(a) - model.A_S, model.Lambda)
-    if shared_routing:
-        I_bar = k_star * (Ainv @ rank.alpha_n)
-    else:
-        I_bar = k_star * (Ainv @ (model.P @ (S_bar * rank.alpha_m)))
+    I_bar = k_star * ngm.dwell_times(model, rank, S_bar)
 
     norm_err = abs(float(S_bar @ R) - 1.0)
     if not norm_err <= NORMALIZATION_TOL:
         raise IdentityViolation(
             f"endemic normalization S_bar . R = 1 violated by {norm_err:.3e}")
-    res = residual_inf(model, S_bar, I_bar)
-    scale = 1.0 + float(np.max(np.abs(np.concatenate([S_bar, I_bar]))))
-    if res > RESIDUAL_TOL * scale:
+    res, ok = _endemic_residual(model, S_bar, I_bar)
+    if not ok:
         raise NoConvergence(f"endemic reconstruction residual {res:.3e} too large")
 
     rep = EquilibriumReport(S0=S0, R0=R0, solver="rank_one")
@@ -329,8 +331,7 @@ def endemic_spectral(model: BilinearModel) -> EquilibriumReport:
     sd = spectral.perron(G * S0[None, :])
     R0 = sd.rho
     if R0 <= 1.0 or abs(R0 - 1.0) <= THRESHOLD_BAND:
-        return _threshold_report(S0, R0, "spectral",
-                                 "R0 <= 1: no positive endemic equilibrium")
+        return _threshold_report(S0, R0, "spectral")
     if not spectral.is_irreducible(G):
         raise NotApplicable("circulation matrix B(-A)^{-1}P is reducible")
 
@@ -367,9 +368,8 @@ def endemic_spectral(model: BilinearModel) -> EquilibriumReport:
     rho_at = spectral.spectral_abscissa(ngm.loop_ngm(model, S_bar, gain=G))
     if abs(rho_at - 1.0) > SPECTRAL_RADIUS_TOL:
         raise NoConvergence(f"threshold condition violated: rho = {rho_at:.12f}")
-    res = residual_inf(model, S_bar, I_bar)
-    scale = 1.0 + float(np.max(np.abs(np.concatenate([S_bar, I_bar]))))
-    if res > RESIDUAL_TOL * scale:
+    res, ok = _endemic_residual(model, S_bar, I_bar)
+    if not ok:
         raise NoConvergence(f"endemic residual {res:.3e} exceeds tolerance")
 
     rep = EquilibriumReport(S0=S0, R0=R0, solver="spectral")
@@ -454,6 +454,12 @@ def feedback_analysis(model: BilinearModel, rank: RankClass
     skipped with a note. k_max bounds every root (see ScalarLaw). A
     sufficient condition for uniqueness, max(C D_w) < min(mu_S) / max(R),
     is evaluated and reported.
+
+    With R0 within THRESHOLD_BAND of 1 the report sets threshold, notes it,
+    and drops the branch through k = 0: the roots with |k H_C'(0)| <=
+    2 THRESHOLD_BAND, where H_C is within the band of H_C(0) to first order
+    (2 covers curvature). The test is dimensionless, free of the units of k;
+    other roots, such as a backward bifurcation's, are kept.
     """
     if rank.alpha_n is None:
         raise NotCaseP("feedback analysis requires a shared routing column")
@@ -475,7 +481,10 @@ def feedback_analysis(model: BilinearModel, rank: RankClass
 
     roots, at_infinity, k_max = _amplitude_roots(model.A_S, model.Lambda, R, R, CD)
     exhausted = k_max == np.inf
-    roots = [r for r in roots if r > SCAN_K_MIN]  # also drops k = 0 at R0 = 1
+    threshold = abs(R0 - 1.0) <= THRESHOLD_BAND
+    if threshold:
+        slope = abs(H_prime(0.0))
+        roots = [r for r in roots if r * slope > 2.0 * THRESHOLD_BAND]
     derivs = [H_prime(r) for r in roots]
     flags = [abs(r * d) <= DOUBLE_ROOT_DERIV_TOL for r, d in zip(roots, derivs)]
 
@@ -488,7 +497,10 @@ def feedback_analysis(model: BilinearModel, rank: RankClass
                     exhausted=exhausted, uniqueness_condition=unique_ok,
                     backward_bifurcation=bool(R0 < 1.0 and roots))
 
-    rep = EquilibriumReport(S0=S0, R0=R0, solver="feedback")
+    rep = EquilibriumReport(S0=S0, R0=R0, solver="feedback", threshold=threshold)
+    if threshold:
+        rep.notes.append("R0 within the threshold band of 1; roots on the "
+                         "branch through k = 0 not reported")
     if at_infinity:
         rep.notes.append("H_C -> 1 as k -> infinity (no net removal from I, "
                          "as when 1^T C D_w = 1); finite roots only")
@@ -498,9 +510,8 @@ def feedback_analysis(model: BilinearModel, rank: RankClass
         if (S_bar < 0).any() or (I_bar < 0).any():
             rep.notes.append(f"root k={r:.6g} produced a sign-violating point; skipped")
             continue
-        res = residual_inf(model, S_bar, I_bar)
-        scale = 1.0 + float(abs(np.concatenate([S_bar, I_bar])).max())
-        if not res <= RESIDUAL_TOL * scale:
+        res, ok = _endemic_residual(model, S_bar, I_bar)
+        if not ok:
             rep.notes.append(f"root k={r:.6g} produced a point with residual "
                              f"{res:.3e}; skipped")
             continue

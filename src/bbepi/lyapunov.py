@@ -34,8 +34,7 @@ from . import ngm, sim, spectral
 from .errors import (BelowThreshold, IdentityViolation, NonDiagonalAS,
                      NonPositiveState, NotCaseP, NotRankOne, NotRegularSplitting,
                      SingularMatrix)
-from .model import BilinearModel, RankClass, RankTag, StateVector
-from .model import classify_rank
+from .model import BilinearModel, RankClass, RankTag, StateVector, classify_rank
 
 WEIGHT_TOL = 1e-10
 CHAIN_RULE_TOL = 1e-8
@@ -194,7 +193,8 @@ def v_transversal(F: np.ndarray, V_mat: np.ndarray, pi: np.ndarray,
     pi must be the left Perron row of K = F V^{-1} (any positive scaling).
     Returns Q = pi . I and Q_dot = (R0 - 1) (pi V) . I - pi . f, which is the
     orbital derivative of Q along the split dynamics; it is nonpositive
-    whenever R0 < 1, f >= 0, and I >= 0.
+    whenever R0 < 1, f >= 0, and I >= 0. R0 = rho(K) is read as the
+    spectral abscissa of the nonnegative K.
 
     Raises
     ------
@@ -220,7 +220,7 @@ def v_transversal(F: np.ndarray, V_mat: np.ndarray, pi: np.ndarray,
         raise ValueError("pi must be entrywise positive")
     if np.any(I < 0.0) or np.any(f < 0.0):
         raise ValueError("I and f must be entrywise nonnegative")
-    R0 = spectral.perron(F @ Vinv).rho
+    R0 = spectral.spectral_abscissa(F @ Vinv)
     q = pi @ V_mat
     Q = float(pi @ I)
     Q_dot = float((R0 - 1.0) * (q @ I) - pi @ f)
@@ -309,8 +309,7 @@ class LyapunovCertificate:
 
 
 def verify_decrease(model: BilinearModel, kind: str,
-                    config: SamplingConfig | None = None,
-                    rank: RankClass | None = None) -> LyapunovCertificate:
+                    config: SamplingConfig | None = None) -> LyapunovCertificate:
     """Integrate sampled trajectories and audit the decrease property.
 
     kind is "dfe" or "ee". Initial conditions are log-uniform around the
@@ -322,7 +321,7 @@ def verify_decrease(model: BilinearModel, kind: str,
     plan over sim.MAX_SAMPLES states is refused before any start is drawn.
     """
     cfg = config or SamplingConfig()
-    rank = classify_rank(model) if rank is None else rank
+    rank = classify_rank(model)
     if kind == "dfe":
         S0, R0, w, mu = _dfe_data(model, rank)
         target = np.concatenate([S0, np.zeros(model.n)])

@@ -259,12 +259,13 @@ def sample_initial_conditions(rng: np.random.Generator, n: int,
 
     Each coordinate is reference_j (or 1 where the reference vanishes)
     times a log-uniform factor in [IC_LOW, IC_HIGH], floored at IC_FLOOR so
-    no start sits on a coordinate face.
+    no start sits on a coordinate face. A start that overflows (a reference
+    entry near the float limit) raises NonFiniteValue.
     """
     ref = np.asarray(reference, dtype=float).ravel()
     ref = np.where(ref > 0.0, ref, 1.0)
     u = rng.uniform(np.log(IC_LOW), np.log(IC_HIGH), size=(n, ref.size))
-    return np.maximum(np.exp(u) * ref, IC_FLOOR)
+    return _require_finite(np.maximum(np.exp(u) * ref, IC_FLOOR), "a sampled start")
 
 
 def convergence_fraction(final: np.ndarray, target: np.ndarray) -> float:

@@ -415,6 +415,98 @@ def test_feedback_skips_root_whose_point_misses_the_field(monkeypatch):
     assert any("residual" in note and "skipped" in note for note in rep.notes)
 
 
+# One-class SIS with recovery feedback: with Lambda = R0 the law is
+# H_C(k) = (R0 + k/2) / (1 + k), whose one root is k = 2 (R0 - 1).
+SIS_FEEDBACK = {"A": [[-1.0]], "A_S": [[-1.0]], "B": [[1.0]], "P": [[1.0]],
+                "C": [[0.5]]}
+
+
+@pytest.mark.parametrize("eps", [2e-9, 4e-9, 1e-8, 1e-6])
+def test_feedback_reports_a_root_just_outside_the_threshold_band(tmp_path, eps):
+    model = bb.BilinearModel(Lambda=[1.0 + eps], **SIS_FEEDBACK)
+    law, rep = bb.feedback_analysis(model, bb.classify_rank(model))
+    assert law.R0 == 1.0 + eps and not rep.threshold
+    (p,) = rep.endemic_points
+    assert p.k == pytest.approx(2.0 * eps, rel=1e-6)
+
+    path, out = tmp_path / "sis.model", tmp_path / "out"
+    path.write_text(json.dumps(model.to_dict()))
+    grid = f"{1.0 + eps!r}:{1.0 + eps!r}:1"
+    assert cli.main(["scan", str(path), "--entry", "Lambda[0]", "--grid", grid,
+                     "--out", str(out)]) == 0
+    header, row = (out / "scan.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["num_roots"] == "1"
+    assert cli.main(["analyze", str(path), "--out", str(out)]) == 0
+    doc = json.loads((out / "analysis.json").read_text())
+    assert len(doc["equilibrium"]["endemic_points"]) == 1
+
+
+BAND_NOTE = "R0 within the threshold band of 1; roots on the branch through k = 0 not reported"
+
+
+def _feedback_at_threshold(seed: int) -> bb.BilinearModel:
+    rng = rng0(seed)
+    base = random_model(rng, 2, 2, "casep")
+    return with_r0(bb.BilinearModel(A=base.A, A_S=base.A_S, B=base.B, P=base.P,
+                                    Lambda=base.Lambda, C=feedback_C(base, rng)), 1.0)
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6, 7, 9])
+def test_feedback_in_the_band_drops_the_branch_through_zero(seed):
+    # Each of these laws has a roundoff root of 1e-16 to 5e-15 on the branch
+    # through k = 0, and no other positive root.
+    model = _feedback_at_threshold(seed)
+    law, rep = bb.feedback_analysis(model, bb.classify_rank(model))
+    assert abs(law.R0 - 1.0) <= eq.THRESHOLD_BAND
+    assert rep.threshold and BAND_NOTE in rep.notes
+    assert law.roots == [] and rep.endemic_points == []
+
+
+@pytest.mark.parametrize("model", [
+    pytest.param(lambda: with_r0(backward_model(), 1.0), id="backward_model"),
+    pytest.param(lambda: _feedback_at_threshold(3), id="random-seed-3"),
+])
+def test_feedback_in_the_band_keeps_a_backward_root(model):
+    # Seed 3 also has a roundoff root of 4e-14 on the branch through k = 0.
+    model = model()
+    law, rep = bb.feedback_analysis(model, bb.classify_rank(model))
+    oracle = oracle_feedback_roots(model, 1e6 * law.k_max)
+    assert rep.threshold and BAND_NOTE in rep.notes
+    assert len(oracle) == 1 and oracle[0] > 0.1
+    assert law.roots == pytest.approx(oracle, rel=1e-9)
+    assert [p.k for p in rep.endemic_points] == law.roots
+
+
+def _hex_points(report) -> list:
+    return [[x.hex() for x in [*p.S_bar.tolist(), *p.I_bar.tolist(), p.k, p.residual]]
+            for p in report.endemic_points]
+
+
+def test_feedback_points_without_feedback_equal_rank_one_points_bitwise():
+    rng = rng0(131)
+    for _ in range(30):
+        m, n = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        model = with_r0(random_model(rng, m, n, "casep"), float(rng.uniform(1.05, 4.0)))
+        rank = bb.classify_rank(model)
+        _, rep = bb.feedback_analysis(model, rank)
+        expected = _hex_points(bb.endemic_rank_one(model, rank))
+        assert len(expected) == 1 and _hex_points(rep) == expected
+
+
+def test_a_nan_residual_fails_every_endemic_gate(monkeypatch):
+    casep = with_r0(random_model(rng0(132), 2, 2, "casep"), 2.0)
+    general = with_r0(random_model(rng0(133), 3, 3, "general"), 2.0)
+    fb = backward_model(0.9)
+    monkeypatch.setattr(eq, "residual_inf", lambda *args: float("nan"))
+    with pytest.raises(bb.NoConvergence, match="residual nan too large"):
+        bb.endemic_rank_one(casep, bb.classify_rank(casep))
+    with pytest.raises(bb.NoConvergence, match="residual nan exceeds"):
+        bb.endemic_spectral(general)
+    law, rep = bb.feedback_analysis(fb, bb.classify_rank(fb))
+    assert len(law.roots) == 2 and not rep.endemic_points
+    assert sum(note.endswith("residual nan; skipped") for note in rep.notes) == 2
+
+
 @pytest.mark.parametrize("beta", [2.5, 3.0, 4.85, 8.0])
 def test_feedback_sirs_network_matches_dense_scan(beta):
     # The reaction fixture has R = (beta / 2.5, 0): class r is never

@@ -148,6 +148,9 @@ CASES = {
     "scan overflowing point": (["scan", "sir.model", "--entry", "Lambda[0]",
                                 "--grid", "1:1e308:2"], 3,
                                "amplitude law is not finite"),
+    # Starts sampled around an S0 near the float limit overflow before any step.
+    "lyapunov overflowing start": (["lyapunov", "hugeinflow.model", "--kind", "dfe"],
+                                   3, "a sampled start is not finite"),
     # An overflowing field is an integration failure, not a NaN trajectory.
     "simulate overflow": (["simulate", "huge.model", "--x0", "0.5,0.5",
                            "--horizon", "1"], 3, "state is not finite"),
@@ -180,7 +183,7 @@ OVERFLOWS = {  # argv, the one line stderr holds
     "analyze": (["analyze", "hugeinflow.model"],
                 "error: amplitude law is not finite (overflow in its pencil)\n"),
     "lyapunov": (["lyapunov", "hugeinflow.model", "--kind", "dfe"],
-                 "error: state is not finite (overflow)\n"),
+                 "error: a sampled start is not finite (overflow)\n"),
     "simulate": (["simulate", "sir.model", "--x0", "1e308,1e308", "--horizon", "1"],
                  "error: state is not finite (overflow)\n"),
     "simulate --adaptive": (["simulate", "sir.model", "--x0", "1e308,1e308",
