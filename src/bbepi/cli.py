@@ -30,6 +30,7 @@ input and seed: floats are written via repr and no timestamps appear.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -201,8 +202,7 @@ def cmd_analyze(args) -> int:
                   f"backward bifurcation: {str(law.backward_bifurcation).lower()}"]
         doc["feedback"] = law.to_dict()
 
-    if model.m == 1 and rank.tag is not RankTag.GENERAL \
-            and not np.any(model.C != 0.0) and report.R0 > 1.0:
+    if model.m == 1 and report.solver == "rank_one" and report.R0 > 1.0:
         try:
             det_law = eq.determinant_law(model, rank, report)
             lines += ["", "[determinant law]",
@@ -242,12 +242,9 @@ def cmd_lyapunov(args) -> int:
 
 def _set_entry(model: BilinearModel, name: str, i: int, j: int | None,
                value: float) -> BilinearModel:
-    parts = {"A": model.A.copy(), "A_S": model.A_S.copy(),
-             "B": model.B.copy(), "P": model.P.copy(),
-             "Lambda": model.Lambda.copy(), "C": model.C.copy()}
-    if name not in parts:
+    if name not in ("A", "A_S", "B", "P", "Lambda", "C"):
         raise ParseError(f"unknown matrix {name!r} in --entry")
-    target = parts[name]
+    target = getattr(model, name).copy()
     try:
         if target.ndim == 1:
             if j is not None:
@@ -259,7 +256,7 @@ def _set_entry(model: BilinearModel, name: str, i: int, j: int | None,
             target[i, j] = value
     except IndexError:
         raise ParseError(f"index out of range for {name} in --entry")
-    return BilinearModel(**parts)
+    return dataclasses.replace(model, **{name: target})
 
 
 def cmd_scan(args) -> int:
@@ -281,6 +278,9 @@ def cmd_scan(args) -> int:
                          f"got {args.grid!r}")
     if num < 1:
         raise ParseError(f"--grid needs num >= 1, got {args.grid!r}")
+    if num > sim.MAX_SAMPLES:  # refused before linspace allocates the grid
+        raise ParseError(f"--grid needs num <= MAX_SAMPLES = {sim.MAX_SAMPLES:,}, "
+                         f"got {args.grid!r}")
     grid = np.linspace(lo, hi, num)
 
     # A point whose solve fails keeps its row, with empty root cells and the

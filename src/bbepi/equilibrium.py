@@ -42,7 +42,6 @@ MAX_HALVINGS = 60
 K_MAX_MARGIN = 2.0 ** 4
 ROOT_REL_TOL = 1e-6
 INFINITE_ROOT_TOL = 1e-12
-DOUBLE_ROOT_DERIV_TOL = 1e-6
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 50
 
@@ -127,8 +126,6 @@ class EquilibriumReport:
     threshold: bool = False
     solver: str = ""
     notes: list[str] = field(default_factory=list)
-    det_J_dfe: float | None = None
-    det_J_ee: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -138,8 +135,6 @@ class EquilibriumReport:
             "threshold": self.threshold,
             "solver": self.solver,
             "notes": list(self.notes),
-            "det_J_dfe": self.det_J_dfe,
-            "det_J_ee": self.det_J_ee,
         }
 
 
@@ -200,8 +195,8 @@ def _pencil_ratios(pair: np.ndarray) -> list[float]:
             for a, b in ((L[0], L[-1]), (M[0], M[-1]), (M[0], L[-1]))]
 
 
-def _amplitude_roots(A_S: np.ndarray, Lambda: np.ndarray, R: np.ndarray,
-                     a: np.ndarray, c: np.ndarray) -> tuple[list[float], bool, float]:
+def _amplitude_roots(A_S: np.ndarray, Lambda: np.ndarray, R: np.ndarray, a: np.ndarray,
+                     c: np.ndarray) -> tuple[list[float], list[bool], bool, float]:
     """Positive roots of H(k) = R . (k Diag(a) - A_S)^{-1} (Lambda + k c) = 1.
 
     After classes with a_i = 0 (so R_i = 0) are eliminated by a Schur
@@ -211,9 +206,10 @@ def _amplitude_roots(A_S: np.ndarray, Lambda: np.ndarray, R: np.ndarray,
     H(infinity) = 1 or some a_i is tiny, M when H(0) = R0 = 1; the side with
     the smaller condition number (both read off one SVD of the stacked pair)
     is inverted, and mu = 1/k ~ 0 there stands for k = infinity. Real
-    positive roots within ROOT_REL_TOL of each other (a split real or a
-    conjugate pair) are one double root at their mean. Returns the sorted
-    roots, whether k = infinity was dropped, and the bound
+    positive eigenvalues within ROOT_REL_TOL of each other (a split real
+    or a conjugate pair) merge into one double root at their mean. Returns
+    the sorted roots, whether each merged two or more eigenvalues, whether
+    k = infinity was dropped, and the bound
     K_MAX_MARGIN * max(1, sigma_1(M) / sigma_min(L)) on every finite root
     (|k| sigma_min(L) <= |M x| <= sigma_1(M) for unit x), inf when k =
     infinity solves the law (sigma_min(L) = 0).
@@ -247,13 +243,14 @@ def _amplitude_roots(A_S: np.ndarray, Lambda: np.ndarray, R: np.ndarray,
         raise NoConvergence("amplitude law is degenerate: k = 0 and "
                             "k = infinity both solve it") from None
     real = np.sort(k.real[(k.real > 0.0) & (np.abs(k.imag) <= ROOT_REL_TOL * np.abs(k))])
-    roots: list[float] = []
+    roots, doubles = [], []
     for r in real:
         if roots and r - roots[-1] <= ROOT_REL_TOL * r:
-            roots[-1] = 0.5 * (roots[-1] + float(r))
+            roots[-1], doubles[-1] = 0.5 * (roots[-1] + float(r)), True
         else:
             roots.append(float(r))
-    return roots, at_infinity, K_MAX_MARGIN * max(1.0, ratio)
+            doubles.append(False)
+    return roots, doubles, at_infinity, K_MAX_MARGIN * max(1.0, ratio)
 
 
 def endemic_rank_one(model: BilinearModel, rank: RankClass) -> EquilibriumReport:
@@ -278,7 +275,7 @@ def endemic_rank_one(model: BilinearModel, rank: RankClass) -> EquilibriumReport
 
     a = R if rank.alpha_n is not None else rank.alpha_m
 
-    roots, _, _ = _amplitude_roots(model.A_S, model.Lambda, R, a, np.zeros(model.m))
+    roots, _, _, _ = _amplitude_roots(model.A_S, model.Lambda, R, a, np.zeros(model.m))
     if len(roots) != 1:
         raise NoConvergence(f"amplitude law with R0 = {R0:.12g} > 1 has roots "
                             f"{roots}, expected exactly one")
@@ -336,8 +333,8 @@ def endemic_spectral(model: BilinearModel) -> EquilibriumReport:
         raise NotApplicable("circulation matrix B(-A)^{-1}P is reducible")
 
     v, pi = sd.w_right, sd.pi_left
-    seeds, _, _ = _amplitude_roots(model.A_S, model.Lambda,
-                                   v * (pi @ G) / float(pi @ v), v, np.zeros(model.m))
+    seeds, _, _, _ = _amplitude_roots(model.A_S, model.Lambda,
+                                      v * (pi @ G) / float(pi @ v), v, np.zeros(model.m))
     if len(seeds) != 1:
         raise NoConvergence(f"seed amplitude law with R0 = {R0:.12g} > 1 has "
                             f"roots {seeds}, expected exactly one")
@@ -346,8 +343,8 @@ def endemic_spectral(model: BilinearModel) -> EquilibriumReport:
         M = np.diag(u) - model.A_S
         S = spectral.solve(M, model.Lambda)
         F = u - G @ (S * u)
-        F_inf = float(np.max(np.abs(F)))
-        if F_inf <= NEWTON_TOL * float(np.max(u)):
+        F_inf = float(abs(F).max())
+        if F_inf <= NEWTON_TOL * float(u.max()):
             break
         if iters == NEWTON_MAXITER:
             raise NoConvergence(f"Newton on u = B I did not converge in {iters} "
@@ -356,7 +353,7 @@ def endemic_spectral(model: BilinearModel) -> EquilibriumReport:
              + (G * u[None, :]) @ spectral.solve(M, np.diag(S)))
         step = spectral.solve(J, F)
         for _ in range(MAX_HALVINGS):
-            if np.all(u - step > 0.0):
+            if (u - step > 0.0).all():
                 break
             step = 0.5 * step
         else:
@@ -404,15 +401,15 @@ def determinant_law(model: BilinearModel, rank: RankClass,
     """det J_EE = -det J_DFE = mu_S det(A) (1 - R0) for m = 1 rank-one models.
 
     mu_S is the single susceptible outflow rate -A_S[0, 0]. Requires R0 > 1
-    so both equilibria exist; the endemic point is taken from `report` or
-    computed on the fly.
+    so both equilibria exist; the endemic point is taken from `report`, or
+    computed on the fly when no report is passed.
     """
     if model.m != 1:
         raise NotApplicable("determinant law requires a single susceptible class")
     if rank.tag is RankTag.GENERAL:
         raise NotRankOne("determinant law requires rank-one transmission")
     _require_no_feedback(model, "determinant_law")
-    if report is None or not report.endemic_points:
+    if report is None:
         report = endemic_rank_one(model, rank)
     if not report.endemic_points:
         raise BelowThreshold("determinant law needs an endemic equilibrium (R0 > 1)")
@@ -447,8 +444,8 @@ def feedback_analysis(model: BilinearModel, rank: RankClass
         H_C(k) = R . (k Diag(R) - A_S)^{-1} (Lambda + k C D_w) = 1,
 
     no longer monotone in k; all its positive roots come from one eigenvalue
-    solve (_amplitude_roots), and a root with |k H_C'(k)| within
-    DOUBLE_ROOT_DERIV_TOL is flagged as a saddle-node. Multiple roots with
+    solve (_amplitude_roots), and a root that merged two or more eigenvalues
+    (a double root of H_C = 1) is flagged as a saddle-node. Multiple roots with
     R0 < 1 are the signature of a backward bifurcation. Roots whose point
     has a negative entry or a residual above RESIDUAL_TOL (relative) are
     skipped with a note. k_max bounds every root (see ScalarLaw). A
@@ -479,14 +476,14 @@ def feedback_analysis(model: BilinearModel, rank: RankClass
         inner = M @ (model.Lambda + k * CD)
         return float(R @ (-M @ (DR @ inner) + M @ CD))
 
-    roots, at_infinity, k_max = _amplitude_roots(model.A_S, model.Lambda, R, R, CD)
+    roots, flags, at_infinity, k_max = _amplitude_roots(model.A_S, model.Lambda, R, R, CD)
     exhausted = k_max == np.inf
     threshold = abs(R0 - 1.0) <= THRESHOLD_BAND
     if threshold:
         slope = abs(H_prime(0.0))
-        roots = [r for r in roots if r * slope > 2.0 * THRESHOLD_BAND]
+        kept = [i for i, r in enumerate(roots) if r * slope > 2.0 * THRESHOLD_BAND]
+        roots, flags = [roots[i] for i in kept], [flags[i] for i in kept]
     derivs = [H_prime(r) for r in roots]
-    flags = [abs(r * d) <= DOUBLE_ROOT_DERIV_TOL for r, d in zip(roots, derivs)]
 
     mu = -model.A_S.diagonal()
     unique_ok = bool(CD.max() < mu.min() / R.max()) if R.max() > 0 else True

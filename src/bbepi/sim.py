@@ -88,7 +88,7 @@ class BatchTrajectory:
 
 def _beyond_clamp(x: np.ndarray, worst: float) -> bool:
     """Whether x (least entry worst) leaves the orthant beyond CLAMP_TOL, or is NaN."""
-    return not worst >= -CLAMP_TOL * max(1.0, float(np.max(np.abs(x))))
+    return not worst >= -CLAMP_TOL * max(1.0, float(abs(x).max()))
 
 
 def _require_finite(x: np.ndarray, what: str = "state") -> np.ndarray:
@@ -98,7 +98,7 @@ def _require_finite(x: np.ndarray, what: str = "state") -> np.ndarray:
 
 
 def _clamp(x: np.ndarray) -> np.ndarray:
-    worst = float(np.min(x)) if x.size else 0.0
+    worst = float(x.min()) if x.size else 0.0
     if worst >= 0.0:
         return x
     _require_finite(x)
@@ -189,8 +189,8 @@ def _integrate_adaptive(rhs, x, horizon, cfg) -> Trajectory:
         h = min(h, horizon - t)
         x_new, err = _ck_step(rhs, x, h, k1)
         scale = ABS_TOL + REL_TOL * np.maximum(np.abs(x), np.abs(x_new))
-        ratio = float(np.max(np.abs(err) / scale))
-        if x_new.size and _beyond_clamp(x_new, float(np.min(x_new))):
+        ratio = float((abs(err) / scale).max())
+        if x_new.size and _beyond_clamp(x_new, float(x_new.min())):
             ratio = max(ratio, 2.0)  # too long a step, whatever its error estimate
         if ratio <= 1.0:
             if len(times) >= MAX_SAMPLES:
@@ -200,8 +200,8 @@ def _integrate_adaptive(rhs, x, horizon, cfg) -> Trajectory:
             times.append(t)
             states.append(x.copy())
             k1 = _require_finite(rhs(x), "vector field")
-            if cfg.settle_tol is not None and float(np.max(np.abs(k1))) <= \
-                    cfg.settle_tol * (1.0 + float(np.max(np.abs(x)))):
+            if cfg.settle_tol is not None and float(abs(k1).max()) <= \
+                    cfg.settle_tol * (1.0 + float(abs(x).max())):
                 early = True
                 reason = "settled"
                 break

@@ -317,8 +317,7 @@ def kirchhoff_perron(J: np.ndarray) -> KirchhoffData:
         lam = float(J[0, 0])
         one = np.array([1.0])
         return KirchhoffData(lam, one, one, np.array([1.0]), 1.0)
-    sd = perron(J)
-    lam = sd.s_abs
+    lam = spectral_abscissa(J)
     N = lam * np.eye(k) - J
     adj = adjugate(N)
 

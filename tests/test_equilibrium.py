@@ -153,7 +153,8 @@ def test_spectral_solver_names_newton_cap(monkeypatch):
 def test_spectral_solver_names_a_seed_law_without_one_root(monkeypatch):
     model = with_r0(random_model(rng0(40), 3, 3, "general"), 3.0)
     assert bb.endemic_spectral(model).endemic_points
-    monkeypatch.setattr(eq, "_amplitude_roots", lambda *args: ([0.5, 2.0], False, 16.0))
+    monkeypatch.setattr(eq, "_amplitude_roots",
+                        lambda *args: ([0.5, 2.0], [False, False], False, 16.0))
     with pytest.raises(bb.NoConvergence,
                        match=r"has roots \[0\.5, 2\.0\], expected exactly one"):
         bb.endemic_spectral(model)
@@ -348,7 +349,7 @@ def test_feedback_double_root_at_tangency():
         if factor == 1.0:
             (k,) = law.roots
             assert law.saddle_flags == [True]
-            assert abs(k * law.H_prime(k)) <= eq.DOUBLE_ROOT_DERIV_TOL
+            assert abs(k * law.H_prime(k)) <= 1e-6
             assert law.H(k) == pytest.approx(1.0, abs=1e-12)
             (p,) = rep.endemic_points
             assert p.saddle_node
@@ -408,7 +409,7 @@ def test_feedback_skips_root_whose_point_misses_the_field(monkeypatch):
     rank = bb.classify_rank(model)
     law, _ = bb.feedback_analysis(model, rank)
     fake = law.roots[0] * 1.1
-    monkeypatch.setattr(eq, "_amplitude_roots", lambda *args: ([fake], False, 16.0))
+    monkeypatch.setattr(eq, "_amplitude_roots", lambda *args: ([fake], [False], False, 16.0))
     law, rep = bb.feedback_analysis(model, rank)
     assert law.roots == [fake]
     assert not rep.endemic_points
@@ -439,6 +440,29 @@ def test_feedback_reports_a_root_just_outside_the_threshold_band(tmp_path, eps):
     assert cli.main(["analyze", str(path), "--out", str(out)]) == 0
     doc = json.loads((out / "analysis.json").read_text())
     assert len(doc["equilibrium"]["endemic_points"]) == 1
+
+
+@pytest.mark.parametrize("C", [0.5, 0.0])
+@pytest.mark.parametrize("eps", [1e-8, 1e-7, 1e-6])
+def test_a_simple_root_near_threshold_is_not_a_saddle_node(tmp_path, eps, C):
+    # The root k = 2 eps (C = 0.5) or eps (C = 0) is one pencil eigenvalue,
+    # so no saddle-node; |k H_C'(k)| ~ R0 - 1 there, under 1e-6.
+    model = bb.BilinearModel(Lambda=[1.0 + eps], **{**SIS_FEEDBACK, "C": [[C]]})
+    law, rep = bb.feedback_analysis(model, bb.classify_rank(model))
+    assert len(law.roots) == 1 and abs(law.roots[0] * law.H_prime(law.roots[0])) <= 1e-6
+    assert law.saddle_flags == [False]
+    assert [p.saddle_node for p in rep.endemic_points] == [False]
+
+    path, out = tmp_path / "sis.model", tmp_path / "out"
+    path.write_text(json.dumps(model.to_dict()))
+    grid = f"{1.0 + eps!r}:{1.0 + eps!r}:1"
+    assert cli.main(["scan", str(path), "--entry", "Lambda[0]", "--grid", grid,
+                     "--out", str(out)]) == 0
+    header, row = (out / "scan.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["saddle1"] == "false"
+    assert cli.main(["analyze", str(path), "--out", str(out)]) == 0
+    text = (out / "analysis.txt").read_text()
+    assert "endemic point 1:" in text and "saddle-node" not in text
 
 
 BAND_NOTE = "R0 within the threshold band of 1; roots on the branch through k = 0 not reported"

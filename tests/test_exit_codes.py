@@ -105,12 +105,20 @@ CASES = {
                             "--grid", "0.5:3:4"], 2, "--entry"),
     "scan --entry range": (["scan", "sir.model", "--entry", "B[3,0]",
                             "--grid", "0.5:3:4"], 2, "out of range"),
+    "scan --entry private": (["scan", "sir.model", "--entry", "_L[0,0]",
+                              "--grid", "0.5:3:4"], 2, "unknown matrix '_L'"),
     "scan --entry vector": (["scan", "sir.model", "--entry", "Lambda[0,0]",
                              "--grid", "0.5:3:4"], 2, "vector"),
     "scan --grid": (["scan", "sir.model", "--entry", "B[0,0]", "--grid", "x"], 2,
                     "--grid"),
     "scan --grid count 0": (["scan", "sir.model", "--entry", "B[0,0]",
                              "--grid", "1:2:0"], 2, "--grid needs num >= 1"),
+    # A grid over sim.MAX_SAMPLES points is refused before it is allocated;
+    # 1e15 points (8 PB) exceed any address space, so the case cannot
+    # exhaust memory if the refusal is ever lost.
+    "scan --grid count 1e15": (["scan", "sir.model", "--entry", "B[0,0]",
+                                "--grid", "0:1:1000000000000000"], 2,
+                               "--grid needs num <= MAX_SAMPLES = 10,000,000"),
     "scan --grid -inf bound": (["scan", "sir.model", "--entry", "A[0,0]",
                                 "--grid=-inf:-1:2"], 2, "--grid needs finite bounds"),
     "scan --grid inf bound": (["scan", "sir.model", "--entry", "B[0,0]",

@@ -114,10 +114,10 @@ def test_empty_cases_of_the_amplitude_solve():
                 np.linalg.solve(np.eye(2), np.zeros((2, 0))))
     assert same(spectral.eigvals(E), np.linalg.eigvals(E))
     assert same(spectral.det(E), np.linalg.det(E))
-    roots, at_infinity, k_max = eq._amplitude_roots(
+    roots, doubles, at_infinity, k_max = eq._amplitude_roots(
         np.array([[-1.0]]), np.array([1.0]), np.array([0.0]), np.array([0.0]),
         np.array([0.0]))
-    assert (roots, at_infinity, k_max) == ([], False, eq.K_MAX_MARGIN)
+    assert (roots, doubles, at_infinity, k_max) == ([], [], False, eq.K_MAX_MARGIN)
 
 
 SINGULAR = np.array([[1.0, 2.0], [2.0, 4.0]])
@@ -168,10 +168,10 @@ def test_root_bound_is_infinite_on_a_zero_left_side():
     # H(k) = 2 (1 + k) / (2 k + 1): L = 2 - 1 * 2 = 0, so cond(L) reads inf
     # (a 0/0 ratio), the other side is inverted, k = infinity is its only
     # root, and no finite bound on the roots exists.
-    roots, at_infinity, k_max = eq._amplitude_roots(
+    roots, doubles, at_infinity, k_max = eq._amplitude_roots(
         np.array([[-1.0]]), np.array([1.0]), np.array([2.0]), np.array([2.0]),
         np.array([1.0]))
-    assert (roots, at_infinity, k_max) == ([], True, np.inf)
+    assert (roots, doubles, at_infinity, k_max) == ([], [], True, np.inf)
 
 
 def _scan_point():
