@@ -111,13 +111,12 @@ def _require_valid(validation, where: str = "validation failed") -> None:
 
 def _solve_endemic(model: BilinearModel, rank) -> tuple:
     """Run the applicable endemic solver. Returns (law_or_None, report)."""
-    if np.any(model.C != 0.0):
-        if rank.alpha_n is not None:
+    if rank.tag is not RankTag.GENERAL:
+        if np.any(model.C != 0.0):
             return eq.feedback_analysis(model, rank)
-        note = ("recovery feedback present but routing is not shared "
-                "across classes; no endemic solver applies")
-    elif rank.tag is not RankTag.GENERAL:
         return None, eq.endemic_rank_one(model, rank)
+    if np.any(model.C != 0.0):
+        note = "recovery feedback with general-rank transmission: no endemic solver applies"
     else:
         try:
             return None, eq.endemic_spectral(model)
@@ -196,9 +195,11 @@ def cmd_analyze(args) -> int:
     doc["equilibrium"] = report.to_dict()
 
     if law is not None:
+        unique = law.uniqueness_condition
         lines += ["", "[feedback]",
                   f"amplitude roots: {_fmt_vec(law.roots) if law.roots else '[]'}",
-                  f"uniqueness condition: {str(law.uniqueness_condition).lower()}",
+                  "uniqueness condition: "
+                  + ("not evaluated" if unique is None else str(unique).lower()),
                   f"backward bifurcation: {str(law.backward_bifurcation).lower()}"]
         doc["feedback"] = law.to_dict()
 

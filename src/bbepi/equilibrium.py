@@ -4,12 +4,12 @@ The disease-free equilibrium is S0 = (-A_S)^{-1} Lambda. Above threshold
 (reproduction number R0 > 1) endemic equilibria are located two ways:
 
 * rank-one transmission: the infection profile lies on an explicit ray and
-  its amplitude k solves H(k) = R . (k Diag(a) - A_S)^{-1} (Lambda + k c) = 1
-  (a = R or alpha_m; c = 0, or C D_w with recovery feedback, when the law
-  can have several roots). Its roots are exactly the positive real
-  eigenvalues of k (Diag(a) - c R^T) x = (A_S + Lambda R^T) x, found by one
-  dense m x m eigenvalue solve of the better-conditioned side, with no grid
-  and no bracketing;
+  its amplitude k solves H(k) = R . (k L0 - A_S)^{-1} (Lambda + k c) = 1
+  ((R, L0, c) from _rank_one_pencil, for each rank-one class; with recovery
+  feedback the law can have several roots). Its roots are exactly the
+  positive real eigenvalues of k (L0 - c R^T) x = (A_S + Lambda R^T) x,
+  found by one dense m x m eigenvalue solve of the better-conditioned side,
+  with no grid and no bracketing;
 * general transmission: the force of infection u = B I in R^m solves the
   closed m-dimensional system u = G (S(u) * u), S(u) = (Diag(u) - A_S)^{-1}
   Lambda, G = B (-A)^{-1} P, by Newton's method with an analytic Jacobian,
@@ -195,17 +195,17 @@ def _pencil_ratios(pair: np.ndarray) -> list[float]:
             for a, b in ((L[0], L[-1]), (M[0], M[-1]), (M[0], L[-1]))]
 
 
-def _amplitude_roots(A_S: np.ndarray, Lambda: np.ndarray, R: np.ndarray, a: np.ndarray,
+def _amplitude_roots(A_S: np.ndarray, Lambda: np.ndarray, R: np.ndarray, L0: np.ndarray,
                      c: np.ndarray) -> tuple[list[float], list[bool], bool, float]:
-    """Positive roots of H(k) = R . (k Diag(a) - A_S)^{-1} (Lambda + k c) = 1.
+    """Positive roots of H(k) = R . (k L0 - A_S)^{-1} (Lambda + k c) = 1.
 
-    After classes with a_i = 0 (so R_i = 0) are eliminated by a Schur
-    complement of A_S, they are the eigenvalues of k L x = M x with
-    L = Diag(a) - c R^T and M = A_S + Lambda R^T (x scaled to R . x = 1),
+    After classes with a zero column of L0 and R_i = 0 are eliminated by a
+    Schur complement of A_S, they are the eigenvalues of k L x = M x with
+    L = L0 - c R^T and M = A_S + Lambda R^T (x scaled to R . x = 1),
     multiplicities included (matrix determinant lemma). L is singular when
-    H(infinity) = 1 or some a_i is tiny, M when H(0) = R0 = 1; the side with
-    the smaller condition number (both read off one SVD of the stacked pair)
-    is inverted, and mu = 1/k ~ 0 there stands for k = infinity. Real
+    H(infinity) = 1 or L0 is near singular, M when H(0) = R0 = 1; the side
+    with the smaller condition number (both read off one SVD of the stacked
+    pair) is inverted, and mu = 1/k ~ 0 there stands for k = infinity. Real
     positive eigenvalues within ROOT_REL_TOL of each other (a split real
     or a conjugate pair) merge into one double root at their mean. Returns
     the sorted roots, whether each merged two or more eigenvalues, whether
@@ -214,25 +214,26 @@ def _amplitude_roots(A_S: np.ndarray, Lambda: np.ndarray, R: np.ndarray, a: np.n
     (|k| sigma_min(L) <= |M x| <= sigma_1(M) for unit x), inf when k =
     infinity solves the law (sigma_min(L) = 0).
     """
-    K = a != 0.0
+    K = (L0 != 0.0).any(axis=0) | (R != 0.0)
     J = ~K
     if J.any():
         X = spectral.solve(A_S[np.ix_(J, J)], np.column_stack(
             [A_S[np.ix_(J, K)], Lambda[J], c[J]]))
         A_KJ = A_S[np.ix_(K, J)]
+        L0 = L0[np.ix_(K, K)] - A_KJ @ spectral.solve(A_S[np.ix_(J, J)], L0[np.ix_(J, K)])
         A_S = A_S[np.ix_(K, K)] - A_KJ @ X[:, :-2]
         Lambda = Lambda[K] - A_KJ @ X[:, -2]
         c = c[K] - A_KJ @ X[:, -1]
-        R, a = R[K], a[K]
+        R = R[K]
 
-    pair = np.array([np.diag(a) - np.outer(c, R), A_S + np.outer(Lambda, R)])
+    pair = np.array([L0 - np.outer(c, R), A_S + np.outer(Lambda, R)])
     if not np.isfinite(pair).all():
         raise NonFiniteValue("amplitude law is not finite (overflow in its pencil)")
     lhs, rhs = pair
     try:
         # The SVD is undefined on 0 x 0 matrices: with every class
         # eliminated the law is H = 0 and both sides are empty.
-        cond_lhs, cond_rhs, ratio = _pencil_ratios(pair) if a.size else (0.0, 0.0, 0.0)
+        cond_lhs, cond_rhs, ratio = _pencil_ratios(pair) if R.size else (0.0, 0.0, 0.0)
         if cond_lhs <= cond_rhs:
             k, at_infinity = spectral.eigvals(spectral.solve(lhs, rhs)), False
         else:
@@ -253,36 +254,60 @@ def _amplitude_roots(A_S: np.ndarray, Lambda: np.ndarray, R: np.ndarray, a: np.n
     return roots, doubles, at_infinity, K_MAX_MARGIN * max(1.0, ratio)
 
 
+def _rank_one_pencil(model: BilinearModel, rank: RankClass) -> tuple:
+    """(R, L0, c, point) of the amplitude law of a rank-one class.
+
+    Every endemic point has an amplitude k with
+    H(k) = R . (k L0 - A_S)^{-1} (Lambda + k c) = 1 and is point(k) =
+    (S_bar, I_bar). Shared routing: I = k D_w, L0 = Diag(R), c = C D_w.
+    Rank-one B = alpha_m beta: k = beta . I, I = k G S with
+    G = (-A)^{-1} P Diag(alpha_m), L0 = Diag(alpha_m) - C G and c = 0.
+    """
+    if rank.tag is RankTag.GENERAL:
+        raise NotCaseP("amplitude law needs shared routing or a rank-one B")
+    R = ngm.replacement_vector(model, rank)
+    if rank.alpha_n is not None:
+        D_w, L0 = ngm.dwell_times(model, rank), np.diag(R)
+
+        def point(k):
+            I_bar = k * D_w
+            return spectral.solve(k * L0 - model.A_S, model.Lambda + model.C @ I_bar), I_bar
+        return R, L0, model.C @ D_w, point
+
+    L0 = np.diag(rank.alpha_m) - model.C @ (model.Ainv @ (model.P * rank.alpha_m))
+
+    def point(k):
+        S_bar = spectral.solve(k * L0 - model.A_S, model.Lambda)
+        return S_bar, k * (model.Ainv @ (model.P @ (S_bar * rank.alpha_m)))
+    return R, L0, np.zeros(model.m), point
+
+
 def endemic_rank_one(model: BilinearModel, rank: RankClass) -> EquilibriumReport:
     """Endemic equilibrium of a rank-one model without feedback.
 
-    The amplitude k solves H(k) = R . (k Diag(a) - A_S)^{-1} Lambda = 1 with
-    a = R (shared routing) or a = alpha_m (rank-one B); H decreases strictly
-    from H(0) = R0 to 0, so for R0 > 1 there is exactly one root, taken from
-    the eigenvalue solve of _amplitude_roots (NoConvergence if it does not
-    return exactly one). The equilibrium is reconstructed from k in closed
-    form, I = k D_w (ngm.dwell_times), and its full vector-field residual is
-    verified. Below threshold the report carries no endemic point.
+    The amplitude k solves H(k) = R . (k L0 - A_S)^{-1} Lambda = 1, with
+    (R, L0) from _rank_one_pencil; H decreases strictly from H(0) = R0 to 0,
+    so for R0 > 1 there is exactly one root, taken from the eigenvalue solve
+    of _amplitude_roots (NoConvergence if it does not return exactly one).
+    The builder's point at that k is checked against S_bar . R = 1 and the
+    full vector-field residual. Below threshold the report carries no
+    endemic point.
     """
     _require_no_feedback(model, "endemic_rank_one")
     if rank.tag is RankTag.GENERAL:
         raise NotRankOne("endemic_rank_one requires rank-one transmission structure")
     S0 = model.S0
-    R = ngm.replacement_vector(model, rank)
+    R, L0, c, point = _rank_one_pencil(model, rank)
     R0 = float(S0 @ R)
     if R0 <= 1.0 or abs(R0 - 1.0) <= THRESHOLD_BAND:
         return _threshold_report(S0, R0, "rank_one")
 
-    a = R if rank.alpha_n is not None else rank.alpha_m
-
-    roots, _, _, _ = _amplitude_roots(model.A_S, model.Lambda, R, a, np.zeros(model.m))
+    roots, _, _, _ = _amplitude_roots(model.A_S, model.Lambda, R, L0, c)
     if len(roots) != 1:
         raise NoConvergence(f"amplitude law with R0 = {R0:.12g} > 1 has roots "
                             f"{roots}, expected exactly one")
     (k_star,) = roots
-
-    S_bar = spectral.solve(k_star * np.diag(a) - model.A_S, model.Lambda)
-    I_bar = k_star * ngm.dwell_times(model, rank, S_bar)
+    S_bar, I_bar = point(k_star)
 
     norm_err = abs(float(S_bar @ R) - 1.0)
     if not norm_err <= NORMALIZATION_TOL:
@@ -312,9 +337,9 @@ def endemic_spectral(model: BilinearModel) -> EquilibriumReport:
     step until u stays positive. The seed lies on the Perron ray t v of the
     loop form G Diag(S0) (pi, v its left and right Perron vectors), where
     pi . G Diag(S(t v)) v = pi . v. That condition is the amplitude law
-    H(t) = 1 with R' = v * (pi G) / (pi . v), a = v and c = 0, whose one
-    root (H(0) = R0 > 1 and H decreases, because S(u) decreases entrywise
-    in u) comes from the eigenvalue solve of _amplitude_roots. For
+    H(t) = 1 with R' = v * (pi G) / (pi . v), L0 = Diag(v) and c = 0, whose
+    one root (H(0) = R0 > 1 and H decreases, because S(u) decreases
+    entrywise in u) comes from the eigenvalue solve of _amplitude_roots. For
     irreducible G the endemic point is unique (Lajmanovich & Yorke 1976),
     so one root is all there is. The threshold condition
     rho(K~(S_bar)) = 1 and the full vector-field residual are verified at
@@ -333,8 +358,8 @@ def endemic_spectral(model: BilinearModel) -> EquilibriumReport:
         raise NotApplicable("circulation matrix B(-A)^{-1}P is reducible")
 
     v, pi = sd.w_right, sd.pi_left
-    seeds, _, _, _ = _amplitude_roots(model.A_S, model.Lambda,
-                                      v * (pi @ G) / float(pi @ v), v, np.zeros(model.m))
+    seeds, _, _, _ = _amplitude_roots(model.A_S, model.Lambda, v * (pi @ G) / float(pi @ v),
+                                      np.diag(v), np.zeros(model.m))
     if len(seeds) != 1:
         raise NoConvergence(f"seed amplitude law with R0 = {R0:.12g} > 1 has "
                             f"roots {seeds}, expected exactly one")
@@ -435,22 +460,22 @@ def determinant_law(model: BilinearModel, rank: RankClass,
 
 def feedback_analysis(model: BilinearModel, rank: RankClass
                       ) -> tuple[ScalarLaw, EquilibriumReport]:
-    """All endemic equilibria of a shared-routing model with recovery feedback.
+    """All endemic equilibria of a rank-one model with recovery feedback.
 
-    The DFE, replacement vector, reproduction number, and dwell profile are
-    unchanged by C. Every endemic point has I = k D_w with amplitude k
-    solving
+    The DFE, replacement vector and reproduction number are unchanged by C.
+    Every endemic point lies on the ray of _rank_one_pencil, with amplitude
+    k solving
 
-        H_C(k) = R . (k Diag(R) - A_S)^{-1} (Lambda + k C D_w) = 1,
+        H_C(k) = R . (k L0 - A_S)^{-1} (Lambda + k c) = 1,
 
     no longer monotone in k; all its positive roots come from one eigenvalue
     solve (_amplitude_roots), and a root that merged two or more eigenvalues
     (a double root of H_C = 1) is flagged as a saddle-node. Multiple roots with
     R0 < 1 are the signature of a backward bifurcation. Roots whose point
     has a negative entry or a residual above RESIDUAL_TOL (relative) are
-    skipped with a note. k_max bounds every root (see ScalarLaw). A
-    sufficient condition for uniqueness, max(C D_w) < min(mu_S) / max(R),
-    is evaluated and reported.
+    skipped with a note. k_max bounds every root (see ScalarLaw). The
+    sufficient uniqueness condition max(C D_w) < min(mu_S) / max(R) is
+    evaluated for shared routing above threshold only (else None).
 
     With R0 within THRESHOLD_BAND of 1 the report sets threshold, notes it,
     and drops the branch through k = 0: the roots with |k H_C'(0)| <=
@@ -458,25 +483,20 @@ def feedback_analysis(model: BilinearModel, rank: RankClass
     (2 covers curvature). The test is dimensionless, free of the units of k;
     other roots, such as a backward bifurcation's, are kept.
     """
-    if rank.alpha_n is None:
-        raise NotCaseP("feedback analysis requires a shared routing column")
     S0 = model.S0
-    R = ngm.replacement_vector(model, rank)
+    R, L0, c, point = _rank_one_pencil(model, rank)
     R0 = float(S0 @ R)
-    D_w = ngm.dwell_times(model, rank)
-    CD = model.C @ D_w
-    DR = np.diag(R)
 
     def H(k: float) -> float:
-        M = spectral.inv(k * DR - model.A_S)
-        return float(R @ (M @ (model.Lambda + k * CD)))
+        M = spectral.inv(k * L0 - model.A_S)
+        return float(R @ (M @ (model.Lambda + k * c)))
 
     def H_prime(k: float) -> float:
-        M = spectral.inv(k * DR - model.A_S)
-        inner = M @ (model.Lambda + k * CD)
-        return float(R @ (-M @ (DR @ inner) + M @ CD))
+        M = spectral.inv(k * L0 - model.A_S)
+        inner = M @ (model.Lambda + k * c)
+        return float(R @ (-M @ (L0 @ inner) + M @ c))
 
-    roots, flags, at_infinity, k_max = _amplitude_roots(model.A_S, model.Lambda, R, R, CD)
+    roots, flags, at_infinity, k_max = _amplitude_roots(model.A_S, model.Lambda, R, L0, c)
     exhausted = k_max == np.inf
     threshold = abs(R0 - 1.0) <= THRESHOLD_BAND
     if threshold:
@@ -485,8 +505,8 @@ def feedback_analysis(model: BilinearModel, rank: RankClass
         roots, flags = [roots[i] for i in kept], [flags[i] for i in kept]
     derivs = [H_prime(r) for r in roots]
 
-    mu = -model.A_S.diagonal()
-    unique_ok = bool(CD.max() < mu.min() / R.max()) if R.max() > 0 else True
+    unique_ok = (bool(c.max() < -model.A_S.diagonal().max() / R.max())
+                 if rank.alpha_n is not None and R0 > 1.0 else None)
 
     law = ScalarLaw(kind="feedback_amplitude", R0=R0, H=H, H_prime=H_prime,
                     roots=roots, deriv_at_roots=derivs,
@@ -502,8 +522,7 @@ def feedback_analysis(model: BilinearModel, rank: RankClass
         rep.notes.append("H_C -> 1 as k -> infinity (no net removal from I, "
                          "as when 1^T C D_w = 1); finite roots only")
     for r, fl in zip(roots, flags):
-        I_bar = r * D_w
-        S_bar = spectral.solve(r * DR - model.A_S, model.Lambda + model.C @ I_bar)
+        S_bar, I_bar = point(r)
         if (S_bar < 0).any() or (I_bar < 0).any():
             rep.notes.append(f"root k={r:.6g} produced a sign-violating point; skipped")
             continue

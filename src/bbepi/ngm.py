@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .errors import IdentityViolation, NonPositiveState, NotRankOne
+from .errors import IdentityViolation, NonPositiveState, NotCaseP, NotRankOne
 from .model import BilinearModel, RankClass, RankTag
 
 SPECTRUM_MATCH_TOL = 1e-10
@@ -96,21 +96,11 @@ def replacement_vector(model: BilinearModel, rank: RankClass) -> np.ndarray:
     raise NotRankOne("replacement vector requires rank-one transmission structure")
 
 
-def dwell_times(model: BilinearModel, rank: RankClass,
-                S_bar: np.ndarray | None = None) -> np.ndarray:
-    """Expected time-in-compartment profile D_w = (-A)^{-1} alpha_eff.
-
-    alpha_eff is the routing column alpha_n for shared-routing models; for
-    rank-one B it is P Diag(S_bar) alpha_m and requires the endemic profile.
-    """
-    if rank.alpha_n is not None:
-        return model.Ainv @ rank.alpha_n
-    if rank.alpha_m is not None:
-        if S_bar is None:
-            raise NotRankOne("dwell times for rank-one B require the endemic profile")
-        S_bar = np.asarray(S_bar, dtype=float).ravel()
-        return model.Ainv @ (model.P @ (S_bar * rank.alpha_m))
-    raise NotRankOne("dwell times require rank-one transmission structure")
+def dwell_times(model: BilinearModel, rank: RankClass) -> np.ndarray:
+    """Time-in-compartment profile D_w = (-A)^{-1} alpha_n (shared routing)."""
+    if rank.alpha_n is None:
+        raise NotCaseP("dwell times require a shared routing column")
+    return model.Ainv @ rank.alpha_n
 
 
 @dataclass(frozen=True)

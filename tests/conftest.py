@@ -190,24 +190,10 @@ def oracle_root_count(H_vals: np.ndarray) -> int:
     return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
 
 
-def oracle_feedback_roots(model: BilinearModel, k_hi: float) -> list[float]:
-    """Roots of the shared-routing feedback law by a dense sign scan.
-
-    H_C(k) = R . (k Diag(R) - A_S)^{-1} (Lambda + k C D_w) is rebuilt from
-    the model matrices (R = B (-A)^{-1} alpha, D_w = (-A)^{-1} alpha with
-    alpha the first routing column), sampled at 20001 log-spaced points of
-    [1e-8, k_hi] by batched solves, and every strict sign change of H_C - 1
-    is refined by brentq.
-    """
-    D_w = np.linalg.solve(-model.A, model.P[:, 0])
-    R, c = model.B @ D_w, model.C @ D_w
-
-    def H(k):
-        k = np.atleast_1d(np.asarray(k, dtype=float))
-        M = k[:, None, None] * np.diag(R)[None] - model.A_S[None]
-        rhs = model.Lambda[None, :] + k[:, None] * c[None, :]
-        return np.linalg.solve(M, rhs[..., None])[..., 0] @ R
-
+def _sign_scan_roots(H, k_hi: float) -> list[float]:
+    """Roots of H(k) = 1 on [1e-8, k_hi]: H (batched over k) is sampled at
+    20001 log-spaced points, and every strict sign change of H - 1 is
+    refined by brentq."""
     ks = np.geomspace(1e-8, k_hi, 20001)
     vals = H(ks) - 1.0
     keep = vals != 0.0
@@ -215,3 +201,43 @@ def oracle_feedback_roots(model: BilinearModel, k_hi: float) -> list[float]:
     idx = np.flatnonzero(vals[1:] * vals[:-1] < 0)
     return [brentq(lambda k: float(H(k)[0]) - 1.0, ks[i], ks[i + 1],
                    xtol=1e-14, rtol=1e-13) for i in idx]
+
+
+def _batched_law(L0: np.ndarray, A_S: np.ndarray, Lambda: np.ndarray,
+                 R: np.ndarray, c: np.ndarray):
+    """k -> R . (k L0 - A_S)^{-1} (Lambda + k c) for an array of k."""
+    def H(k):
+        k = np.atleast_1d(np.asarray(k, dtype=float))
+        M = k[:, None, None] * L0[None] - A_S[None]
+        rhs = Lambda[None, :] + k[:, None] * c[None, :]
+        return np.linalg.solve(M, rhs[..., None])[..., 0] @ R
+    return H
+
+
+def oracle_feedback_roots(model: BilinearModel, k_hi: float) -> list[float]:
+    """Roots of the shared-routing feedback law by a dense sign scan.
+
+    H_C(k) = R . (k Diag(R) - A_S)^{-1} (Lambda + k C D_w) is rebuilt from
+    the model matrices (R = B (-A)^{-1} alpha, D_w = (-A)^{-1} alpha with
+    alpha the first routing column) and its roots found on [1e-8, k_hi].
+    """
+    D_w = np.linalg.solve(-model.A, model.P[:, 0])
+    R = model.B @ D_w
+    return _sign_scan_roots(
+        _batched_law(np.diag(R), model.A_S, model.Lambda, R, model.C @ D_w), k_hi)
+
+
+def oracle_caseb_roots(model: BilinearModel, k_hi: float) -> list[float]:
+    """Roots of the rank-one-B feedback law by a dense sign scan.
+
+    B = alpha beta^T is factored with alpha on the unit simplex
+    (alpha = B 1 / 1^T B 1, beta = B^T 1), and with G = (-A)^{-1} P Diag(alpha)
+    the law H(k) = (G^T beta) . (k (Diag(alpha) - C G) - A_S)^{-1} Lambda,
+    k = beta . I, is rebuilt from the model matrices and its roots found on
+    [1e-8, k_hi].
+    """
+    alpha, beta = model.B.sum(axis=1) / model.B.sum(), model.B.sum(axis=0)
+    G = np.linalg.solve(-model.A, model.P * alpha[None, :])
+    L0 = np.diag(alpha) - model.C @ G
+    return _sign_scan_roots(
+        _batched_law(L0, model.A_S, model.Lambda, G.T @ beta, np.zeros(model.m)), k_hi)

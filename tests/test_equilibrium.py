@@ -1,6 +1,8 @@
 """Threshold behavior, endemic solvers, determinant identity, feedback roots."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +15,10 @@ from bbepi import cli
 from bbepi import equilibrium as eq
 from bbepi import spectral
 from bbepi.ngm import loop_ngm
-from conftest import (diagonal_As, feedback_C, oracle_endemic_points,
-                      oracle_fd_jacobian, oracle_feedback_roots,
-                      oracle_root_count, random_model, with_r0)
+from conftest import (diagonal_As, feedback_C, oracle_caseb_roots,
+                      oracle_endemic_points, oracle_fd_jacobian,
+                      oracle_feedback_roots, oracle_root_count, random_model,
+                      random_metzler_hurwitz, random_stochastic_columns, with_r0)
 from test_cli import SIRS_RXN
 
 rng0 = np.random.default_rng
@@ -508,13 +511,14 @@ def _hex_points(report) -> list:
 
 def test_feedback_points_without_feedback_equal_rank_one_points_bitwise():
     rng = rng0(131)
-    for _ in range(30):
-        m, n = int(rng.integers(1, 5)), int(rng.integers(1, 4))
-        model = with_r0(random_model(rng, m, n, "casep"), float(rng.uniform(1.05, 4.0)))
-        rank = bb.classify_rank(model)
-        _, rep = bb.feedback_analysis(model, rank)
-        expected = _hex_points(bb.endemic_rank_one(model, rank))
-        assert len(expected) == 1 and _hex_points(rep) == expected
+    for case in ("casep", "caseb"):
+        for _ in range(30):
+            m, n = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            model = with_r0(random_model(rng, m, n, case), float(rng.uniform(1.05, 4.0)))
+            rank = bb.classify_rank(model)
+            _, rep = bb.feedback_analysis(model, rank)
+            expected = _hex_points(bb.endemic_rank_one(model, rank))
+            assert len(expected) == 1 and _hex_points(rep) == expected
 
 
 def test_a_nan_residual_fails_every_endemic_gate(monkeypatch):
@@ -717,3 +721,157 @@ def test_analyze_inverts_A_and_A_S_once(monkeypatch, tmp_path):
     assert len(seen) == 2 and sorted(by_shape) == [(1, 1), (3, 3)]
     assert np.array_equal(by_shape[(3, 3)], model.A)
     assert np.array_equal(by_shape[(1, 1)], model.A_S)
+
+
+# ---------------------------------------------------------------------------
+# every rank-one class, feedback included
+
+
+def rank_one_model(rng, case: str, m: int, n: int, r0: float,
+                   strength: float | None) -> bb.BilinearModel:
+    """A random model of one class ('casep', 'caseb', 'both' or 'general')
+    with the given R0 and, unless strength is None, recovery feedback.
+
+    A is transposed from random_model's draw, so every infection compartment
+    has a positive exit rate and feedback_C's C is nonnegative.
+    """
+    base = random_model(rng, m, n, "casep" if case == "both" else case)
+    B = base.B
+    if case == "both":
+        B = np.outer(rng.uniform(0.2, 1.0, size=m), rng.uniform(0.2, 2.0, size=n))
+    base = with_r0(bb.BilinearModel(A=base.A.T, A_S=base.A_S, B=B, P=base.P,
+                                    Lambda=base.Lambda), r0)
+    C = np.zeros((m, n)) if strength is None else feedback_C(base, rng, strength)
+    return bb.BilinearModel(A=base.A, A_S=base.A_S, B=base.B, P=base.P,
+                            Lambda=base.Lambda, C=C)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 4), n=st.integers(2, 3),
+       r0=st.floats(0.5, 2.0), strength=st.floats(0.0, 0.95))
+def test_feedback_caseb_roots_match_dense_sign_scan(seed, m, n, r0, strength):
+    model = rank_one_model(rng0(seed), "caseb", m, n, r0, strength)
+    rank = bb.classify_rank(model)
+    assert rank.tag is bb.RankTag.CASE_B
+    law, rep = bb.feedback_analysis(model, rank)
+    assert law.uniqueness_condition is None
+    assert all(r <= law.k_max for r in law.roots)
+    assume(all(abs(k * d) > 1e-3 for k, d in zip(law.roots, law.deriv_at_roots)))
+    oracle = oracle_caseb_roots(model, 1e6 * law.k_max)
+    assert law.roots == pytest.approx(oracle, rel=1e-9)
+    assert [p.k for p in rep.endemic_points] == law.roots
+    for p in rep.endemic_points:
+        x = np.concatenate([p.S_bar, p.I_bar])
+        assert p.residual <= 1e-12 * (1.0 + abs(x).max())
+        assert p.k == pytest.approx(float(rank.beta @ p.I_bar), rel=1e-12)
+
+
+def caseb_backward_model(seed: int) -> bb.BilinearModel:
+    """m = n = 2 rank-one-B model with recycling into class 2, below threshold.
+
+    Class 1 is a reservoir (large inflow, small share alpha_1 of the force
+    of infection), class 2 a core with little inflow that receives most of
+    each infection compartment's exits through C; B is scaled to R0 < 1.
+    """
+    rng = rng0(seed)
+    A = random_metzler_hurwitz(rng, 2)
+    P = random_stochastic_columns(rng, 2, 2)
+    a1 = rng.uniform(0.005, 0.1)
+    B = np.outer([a1, 1.0 - a1], rng.uniform(0.2, 2.0, size=2))
+    C = np.zeros((2, 2))
+    C[1] = rng.uniform(0.5, 0.95, size=2) * -A.sum(axis=0)
+    base = bb.BilinearModel(A=A, A_S=np.diag(-rng.uniform(0.5, 1.5, size=2)), B=B, P=P,
+                            Lambda=[rng.uniform(5.0, 20.0), rng.uniform(0.01, 0.1)], C=C)
+    return with_r0(base, float(rng.uniform(0.8, 0.98)))
+
+
+def test_feedback_caseb_backward_pair():
+    model = caseb_backward_model(0)
+    rank = bb.classify_rank(model)
+    assert bb.validate_model(model).passed and rank.tag is bb.RankTag.CASE_B
+    law, rep = bb.feedback_analysis(model, rank)
+    assert law.R0 < 1.0 and law.backward_bifurcation
+    assert law.uniqueness_condition is None
+    assert len(law.roots) == 2 and len(rep.endemic_points) == 2
+    assert law.roots == pytest.approx(oracle_caseb_roots(model, 1e6 * law.k_max), rel=1e-9)
+    # Both points are interior equilibria of the raw vector field.
+    found = oracle_endemic_points(model, n_starts=100)
+    assert len(found) == 2
+    for p in rep.endemic_points:
+        x = np.concatenate([p.S_bar, p.I_bar])
+        assert min(abs(x - y).max() for y in found) <= 1e-6
+
+
+# R0 = 0.998 with shared routing: the sufficient condition
+# max(C D_w) < min(mu_S) / max(R) holds, yet two endemic points exist.
+SUBTHRESHOLD_PAIR = dict(
+    A=[[-0.47150889502530363]], A_S=np.diag([-1.3190343642855127, -1.7834833815538285]),
+    B=[[0.24700257003453238], [0.18369750059829323]], P=[[1.0, 1.0]],
+    Lambda=[1.4769900897698354, 1.884538001340771],
+    C=[[0.4196308465138872], [0.04716295956116342]])
+
+
+def test_uniqueness_condition_is_not_evaluated_below_threshold(tmp_path):
+    model = bb.BilinearModel(**SUBTHRESHOLD_PAIR)
+    law, rep = bb.feedback_analysis(model, bb.classify_rank(model))
+    assert law.R0 == pytest.approx(0.998, abs=1e-3)
+    assert law.backward_bifurcation and len(rep.endemic_points) == 2
+    assert law.roots == pytest.approx([0.034, 59.1], rel=1e-2)
+    assert law.uniqueness_condition is None
+    path, out = tmp_path / "pair.model", tmp_path / "out"
+    path.write_text(json.dumps(model.to_dict()))
+    assert cli.main(["analyze", str(path), "--out", str(out)]) == 0
+    text = (out / "analysis.txt").read_text()
+    assert "uniqueness condition: not evaluated" in text
+    assert "backward bifurcation: true" in text
+    assert json.loads((out / "analysis.json").read_text())["feedback"][
+        "uniqueness_condition"] is None
+
+
+# Rank-one B = (1/2, 1/2) (2, 1) with routing columns that differ, R0 = 1.5.
+CASEB_FEEDBACK = dict(A=-np.eye(2), A_S=-np.eye(2), B=[[1.0, 0.5], [1.0, 0.5]],
+                      P=[[0.75, 0.25], [0.25, 0.75]], Lambda=[1.0, 1.0],
+                      C=[[0.1, 0.05], [0.0, 0.2]])
+
+
+def test_analyze_and_scan_solve_caseb_with_feedback(tmp_path):
+    model = bb.BilinearModel(**CASEB_FEEDBACK)
+    assert bb.classify_rank(model).tag is bb.RankTag.CASE_B
+    path, out = tmp_path / "caseb.model", tmp_path / "out"
+    path.write_text(json.dumps(model.to_dict()))
+    assert cli.main(["analyze", str(path), "--out", str(out)]) == 0
+    text = (out / "analysis.txt").read_text()
+    assert "solver: feedback" in text
+    assert "endemic point 1:" in text and "endemic point 2:" not in text
+    assert "uniqueness condition: not evaluated" in text
+    (p,) = json.loads((out / "analysis.json").read_text())["equilibrium"]["endemic_points"]
+    assert p["residual"] <= 1e-12
+    assert cli.main(["scan", str(path), "--entry", "Lambda[0]", "--grid", "0.5:2:4",
+                     "--out", str(out)]) == 0
+    rows = (out / "scan.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["1"] * 4
+    # Sweeping an entry of B makes B general rank, which no law covers.
+    assert cli.main(["scan", str(path), "--entry", "B[0,0]", "--grid", "0.5:2:4",
+                     "--out", str(out)]) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 4), n=st.integers(1, 4),
+       case=st.sampled_from(["casep", "caseb", "both", "general"]),
+       feedback=st.booleans(), r0=st.floats(1.05, 4.0))
+def test_analyze_finds_an_endemic_point_above_threshold(seed, m, n, case, feedback, r0):
+    # Strong threshold theorem: R0 > 1 forces an endemic equilibrium. Every
+    # rank-one class reports one, with or without recovery feedback; general
+    # rank with feedback has no solver.
+    model = rank_one_model(rng0(seed), case, m, n, r0, 0.8 if feedback else None)
+    assert bb.validate_model(model).passed
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "m.model", Path(tmp) / "out"
+        path.write_text(json.dumps(model.to_dict()))
+        assert cli.main(["analyze", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "analysis.json").read_text())["equilibrium"]
+    if bb.classify_rank(model).tag is bb.RankTag.GENERAL and feedback:
+        assert report["solver"] == "none" and not report["endemic_points"]
+        return
+    assert report["endemic_points"]
+    assert all(p["residual"] <= eq.RESIDUAL_TOL for p in report["endemic_points"])

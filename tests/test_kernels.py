@@ -115,7 +115,7 @@ def test_empty_cases_of_the_amplitude_solve():
     assert same(spectral.eigvals(E), np.linalg.eigvals(E))
     assert same(spectral.det(E), np.linalg.det(E))
     roots, doubles, at_infinity, k_max = eq._amplitude_roots(
-        np.array([[-1.0]]), np.array([1.0]), np.array([0.0]), np.array([0.0]),
+        np.array([[-1.0]]), np.array([1.0]), np.array([0.0]), np.array([[0.0]]),
         np.array([0.0]))
     assert (roots, doubles, at_infinity, k_max) == ([], [], False, eq.K_MAX_MARGIN)
 
@@ -169,7 +169,7 @@ def test_root_bound_is_infinite_on_a_zero_left_side():
     # (a 0/0 ratio), the other side is inverted, k = infinity is its only
     # root, and no finite bound on the roots exists.
     roots, doubles, at_infinity, k_max = eq._amplitude_roots(
-        np.array([[-1.0]]), np.array([1.0]), np.array([2.0]), np.array([2.0]),
+        np.array([[-1.0]]), np.array([1.0]), np.array([2.0]), np.array([[2.0]]),
         np.array([1.0]))
     assert (roots, doubles, at_infinity, k_max) == ([], [], True, np.inf)
 
